@@ -76,7 +76,7 @@ _INVARIANT_KEYS = {
 _MAX_RATIO_KEYS = {"BENCH_dispatch.json": ("overhead", 1.02)}
 
 #: Sides of the kernels report carrying span tables and cost counters.
-_ATTRIBUTED_SIDES = ("fast", "scalar", "reference")
+_ATTRIBUTED_SIDES = ("fast", "reference")
 
 #: Sample spread (``(max - min) / median`` of the timed runs) above
 #: which the current run's timings are flagged as noisy.

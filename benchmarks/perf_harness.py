@@ -4,14 +4,11 @@ Produces two machine-readable artefacts (median-of-N wall-clock numbers
 plus the observability layer's own ``stage1.mwis_solve_s`` timer totals):
 
 * ``BENCH_kernels.json`` -- Stage I (deferred acceptance) on the
-  ``bench_scalability`` large market, three ways: the batched SoA fast
-  path (the default), the scalar bitset kernels
-  (``SPECTRUM_BATCH_STAGE1=0``), and the set-based reference path
-  (``SPECTRUM_FAST_KERNELS=0``), including a check that all three
-  produced the identical matching.  ``speedup`` stays
-  reference-vs-fast (the ratio the perf gate guards);
-  ``batch_speedup`` isolates the SoA batching win over the scalar
-  kernels.
+  ``bench_scalability`` large market, two ways: the batched SoA fast
+  path (the default) and the per-seller set-based reference loop
+  (reached by emptying ``repro.core.soa.BATCHED_ALGORITHMS``),
+  including a check that both produced the identical matching.
+  ``speedup`` is reference-vs-fast (the ratio the perf gate guards).
 * ``BENCH_sweep.json`` -- a Fig. 7-style sweep run serially vs through
   the parallel runner, proving the ``--jobs`` path and recording its
   overhead/speedup on this machine.
@@ -46,11 +43,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.experiments import SweepAxis, stage_breakdown_series
+from repro.core import soa
 from repro.core.deferred_acceptance import deferred_acceptance
-from repro.core.soa import BATCH_STAGE1_ENV
 from repro.core.two_stage import run_two_stage
 from repro.engine import get_solver
-from repro.interference.bitset import FAST_KERNELS_ENV
 from repro.ioutil import append_jsonl, atomic_write_json
 from repro.obs import MetricsRegistry, Recorder, use_recorder
 from repro.obs.spans import SpanTracer
@@ -112,17 +108,18 @@ def _stats_block(times: List[float]) -> Dict[str, object]:
 
 
 def _stage1_once(
-    market, fast: bool, batched: bool = True
+    market, fast: bool
 ) -> Tuple[object, float, List[Dict[str, object]], Dict[str, int]]:
-    """One recorded Stage-I run.
+    """One recorded Stage-I run (``fast=False`` takes the reference loop).
 
     Returns ``(result, mwis timer total_s, span table, cost counters)``
     -- the span table and the deterministic kernel cost counters are
     what ``compare_perf.py``'s attribution diff consumes to tell
     "algorithm changed" apart from "machine was slow".
     """
-    os.environ[FAST_KERNELS_ENV] = "1" if fast else "0"
-    os.environ[BATCH_STAGE1_ENV] = "1" if batched else "0"
+    batched = soa.BATCHED_ALGORITHMS
+    if not fast:
+        soa.BATCHED_ALGORITHMS = ()
     registry = MetricsRegistry()
     tracer = SpanTracer()
     reset_cost_counters()
@@ -130,8 +127,7 @@ def _stage1_once(
         with use_recorder(Recorder(metrics=registry, spans=tracer)):
             result = deferred_acceptance(market, record_trace=False)
     finally:
-        os.environ.pop(FAST_KERNELS_ENV, None)
-        os.environ.pop(BATCH_STAGE1_ENV, None)
+        soa.BATCHED_ALGORITHMS = batched
     counters = {
         name: value
         for name, value in snapshot_cost_counters().items()
@@ -150,41 +146,37 @@ def _coalitions(market, result) -> Dict[int, Tuple[int, ...]]:
 
 
 def bench_kernels(quick: bool, runs: int) -> Dict[str, object]:
-    """Stage I batched-vs-scalar-vs-reference on the scalability market."""
+    """Stage I batched-vs-reference on the scalability market."""
     params = QUICK_MARKET if quick else FULL_MARKET
     market = _build_market(params)
     sides: Dict[str, Dict[str, object]] = {}
     matchings = {}
-    for label, fast, batched in (
-        ("fast", True, True),
-        ("scalar", True, False),
-        ("reference", False, True),
-    ):
+    for label, fast in (("fast", True), ("reference", False)):
         mwis_totals: List[float] = []
         span_tables: List[List[Dict[str, object]]] = []
         counter_snaps: List[Dict[str, int]] = []
-        results: List[object] = []
 
         def run_once() -> object:
-            result, mwis_s, spans, counters = _stage1_once(
-                market, fast, batched
-            )
+            result, mwis_s, spans, counters = _stage1_once(market, fast)
             mwis_totals.append(mwis_s)
             span_tables.append(spans)
             counter_snaps.append(counters)
             return result
 
         times, outputs = _timed_runs(run_once, runs)
-        results = outputs
-        matchings[label] = _coalitions(market, results[0])
-        # The deterministic counters must agree across same-input runs;
-        # record the first snapshot and surface any disagreement rather
-        # than averaging it away.
+        matchings[label] = _coalitions(market, outputs[0])
+        # Attribute with the median run, not the cold first one: the
+        # span table must be comparable with the side's median_s.  The
+        # deterministic counters must agree across same-input runs;
+        # surface any disagreement rather than averaging it away.
+        median_run = sorted(range(runs), key=times.__getitem__)[
+            (runs - 1) // 2
+        ]
         sides[label] = {
             **_stats_block(times),
             "mwis_solve_median_s": statistics.median(mwis_totals),
-            "spans": span_tables[0],
-            "counters": counter_snaps[0],
+            "spans": span_tables[median_run],
+            "counters": counter_snaps[median_run],
             "counters_deterministic": all(
                 snap == counter_snaps[0] for snap in counter_snaps
             ),
@@ -196,18 +188,11 @@ def bench_kernels(quick: bool, runs: int) -> Dict[str, object]:
         "runs": runs,
         "market": params,
         "fast": sides["fast"],
-        "scalar": sides["scalar"],
         "reference": sides["reference"],
         "speedup": (
             sides["reference"]["median_s"] / fast_median if fast_median else 0.0
         ),
-        "batch_speedup": (
-            sides["scalar"]["median_s"] / fast_median if fast_median else 0.0
-        ),
-        "identical_matching": (
-            matchings["fast"] == matchings["reference"]
-            and matchings["fast"] == matchings["scalar"]
-        ),
+        "identical_matching": matchings["fast"] == matchings["reference"],
     }
 
 

@@ -31,38 +31,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core import soa
 from repro.core.market import SpectrumMarket
 from repro.core.matching import Matching
 from repro.core.preferences import buyer_preference_order
-from repro.core.soa import batch_stage1_enabled, batched_deferred_acceptance
 from repro.core.trace import StageOneRound
-from repro.interference.bitset import (
-    fast_kernels_enabled,
-    mask_of,
-    mwis_gwmin2_bits,
-    mwis_gwmin_bits,
-)
-from repro.interference.mwis import MwisAlgorithm, mwis_solve
+from repro.interference.mwis import mwis_solve
 from repro.obs.events import round_to_event
 from repro.obs.recorder import Recorder, resolve_recorder
 
 __all__ = [
-    "COST_COUNTERS",
     "StageOneResult",
     "deferred_acceptance",
     "seller_select_coalition",
 ]
-
-#: Deterministic cost counters for the scalar Stage-I pool cache:
-#: machine-independent operation counts accumulated by every solve and
-#: read/reset by :mod:`repro.prof.counters`.  A cache *hit* is a member
-#: whose induced mask survived the round untouched by the delta.
-COST_COUNTERS: Dict[str, int] = {
-    "stage1.cache_hit_ops": 0,
-    "stage1.cache_departed_ops": 0,
-    "stage1.cache_arrived_ops": 0,
-}
-
 
 @dataclass(frozen=True)
 class StageOneResult:
@@ -118,132 +100,6 @@ def seller_select_coalition(
     compatible = graph.independent_subset_greedily_compatible(incumbent, newcomers)
     extension = mwis_solve(graph, weights, compatible, market.mwis_algorithm)
     extended = sorted(set(incumbent) | set(extension))
-    extended_value = incumbent_value + sum(weights[j] for j in extension)
-    if extended_value > candidate_value:
-        return extended
-    return candidate
-
-
-#: MWIS algorithms with a bitmask kernel; other choices (GWMAX, EXACT)
-#: always go through :func:`seller_select_coalition` per call.
-_KERNEL_ALGORITHMS = {
-    MwisAlgorithm.GWMIN: mwis_gwmin_bits,
-    MwisAlgorithm.GWMIN2: mwis_gwmin2_bits,
-}
-
-
-class _SellerMwisCache:
-    """Incremental per-seller candidate-pool state for the fast kernels.
-
-    Each proposal round a seller re-solves MWIS on ``waitlist | fresh``.
-    The pool between consecutive rounds overlaps heavily -- the new pool
-    is the previous round's *selection* plus the fresh proposers -- so
-    instead of rebuilding the induced adjacency from the full channel
-    graph every round (the set-based path's per-round cost), this cache
-    keeps the previous pool's induced bitmasks and applies only the delta
-    of departed members (rejections/evictions that left the pool) and new
-    proposers.
-
-    Invalidation rule: a member's mask is recomputed only from the delta
-    (``mask & ~departed | adjacency & arrived``); a buyer re-entering
-    after leaving is treated as a plain arrival.  Weights (the buyer's
-    offered channel price) are immutable for a market instance, so they
-    are converted to Python floats once per buyer and never invalidated.
-
-    The cache yields byte-identical selections to the uncached path: the
-    induced masks it maintains equal ``adjacency_bits[j] & pool_mask``
-    exactly (bit operations, no rounding), and the kernels consume them
-    the same way.
-    """
-
-    __slots__ = ("_adjacency_bits", "_prices", "pool", "pool_mask",
-                 "induced", "weights")
-
-    def __init__(self, adjacency_bits, prices) -> None:
-        self._adjacency_bits = adjacency_bits
-        self._prices = prices
-        self.pool: Set[int] = set()
-        self.pool_mask = 0
-        self.induced: Dict[int, int] = {}
-        self.weights: Dict[int, float] = {}
-
-    def update(self, pool: Sequence[int]) -> None:
-        """Apply the delta from the cached pool to ``pool`` (ascending)."""
-        new_pool = set(pool)
-        departed = self.pool - new_pool
-        arrived = new_pool - self.pool
-        counters = COST_COUNTERS
-        counters["stage1.cache_departed_ops"] += len(departed)
-        counters["stage1.cache_arrived_ops"] += len(arrived)
-        if not departed and not arrived:
-            counters["stage1.cache_hit_ops"] += len(new_pool)
-        new_mask = self.pool_mask
-        if departed:
-            new_mask &= ~mask_of(departed)
-        induced = self.induced
-        for j in departed:
-            del induced[j]
-        if arrived:
-            arrived_mask = mask_of(arrived)
-            new_mask |= arrived_mask
-            keep_mask = ~mask_of(departed) if departed else -1
-            adjacency = self._adjacency_bits
-            for j in self.pool & new_pool:
-                induced[j] = (induced[j] & keep_mask) | (
-                    adjacency[j] & arrived_mask
-                )
-            weights = self.weights
-            prices = self._prices
-            for j in arrived:
-                induced[j] = adjacency[j] & new_mask
-                if j not in weights:
-                    weights[j] = float(prices[j])
-        elif departed:
-            keep_mask = ~mask_of(departed)
-            for j in induced:
-                induced[j] &= keep_mask
-        self.pool = new_pool
-        self.pool_mask = new_mask
-
-
-def _seller_select_fast(
-    cache: _SellerMwisCache,
-    kernel,
-    adjacency_bits,
-    pool: Sequence[int],
-    incumbent: Sequence[int],
-    monotone_guard: bool,
-) -> List[int]:
-    """Kernel-path equivalent of :func:`seller_select_coalition`.
-
-    Mirrors the reference implementation operation for operation
-    (including the order of the value summations) so Stage I produces
-    byte-identical waitlists on both kernel paths.
-    """
-    cache.update(pool)
-    weights = cache.weights
-    candidate = kernel(weights, pool, cache.induced)
-    if not monotone_guard or not incumbent:
-        return candidate
-
-    candidate_value = sum(weights[j] for j in candidate)
-    incumbent_value = sum(weights[j] for j in incumbent)
-    # Keep-and-extend alternative: the incumbent waitlist plus the best
-    # interference-free set of compatible fresh proposers.
-    incumbent_set = set(incumbent)
-    incumbent_mask = mask_of(incumbent)
-    compatible = [
-        j
-        for j in pool
-        if j not in incumbent_set and not adjacency_bits[j] & incumbent_mask
-    ]
-    compatible_mask = mask_of(compatible)
-    extension = kernel(
-        weights,
-        compatible,
-        {j: adjacency_bits[j] & compatible_mask for j in compatible},
-    )
-    extended = sorted(incumbent_set | set(extension))
     extended_value = incumbent_value + sum(weights[j] for j in extension)
     if extended_value > candidate_value:
         return extended
@@ -323,23 +179,13 @@ def _deferred_acceptance_impl(
     mwis_timer = rec.metrics.timer("stage1.mwis_solve_s") if observing else None
     num_buyers = market.num_buyers
 
-    # Kernel fast path: per-seller incremental pool caches feeding the
-    # bitmask kernels.  Only GWMIN/GWMIN2 have kernels; other algorithms
-    # (and SPECTRUM_FAST_KERNELS=0) use seller_select_coalition per call.
-    # Both paths produce byte-identical waitlists (differential-tested).
-    kernel = (
-        _KERNEL_ALGORITHMS.get(market.mwis_algorithm)
-        if fast_kernels_enabled()
-        else None
-    )
-    if kernel is not None and batch_stage1_enabled():
-        # Struct-of-arrays fast path: one vectorised proposal/score/
-        # acceptance pass per round across all sellers, byte-identical
-        # to the scalar loops below (differential- and golden-trace
-        # tested).  SPECTRUM_BATCH_STAGE1=0 falls back to the scalar
-        # per-seller kernel path.
+    if market.mwis_algorithm in soa.BATCHED_ALGORITHMS:
+        # Fast path: one vectorised proposal/score/acceptance pass per
+        # round across all sellers, byte-identical to the per-seller
+        # reference loop below (differential- and golden-trace tested).
+        # GWMAX/EXACT have no batched kernel and take the reference.
         matching, rounds, num_rounds, total_proposals = (
-            batched_deferred_acceptance(
+            soa.batched_deferred_acceptance(
                 market, record_trace, monotone_guard, rec
             )
         )
@@ -348,31 +194,6 @@ def _deferred_acceptance_impl(
             rounds=rounds,
             num_rounds=num_rounds,
             total_proposals=total_proposals,
-        )
-    caches: Dict[int, _SellerMwisCache] = {}
-
-    def select_coalition(channel: int, pool: List[int], incumbent: List[int]):
-        if kernel is None:
-            return seller_select_coalition(
-                market,
-                channel,
-                pool,
-                incumbent=incumbent,
-                monotone_guard=monotone_guard,
-            )
-        cache = caches.get(channel)
-        if cache is None:
-            cache = caches[channel] = _SellerMwisCache(
-                market.graph(channel).adjacency_bits,
-                market.channel_prices(channel),
-            )
-        return _seller_select_fast(
-            cache,
-            kernel,
-            cache._adjacency_bits,
-            pool,
-            incumbent,
-            monotone_guard,
         )
 
     # Algorithm 1, lines 1-3: initialise waitlists and unproposed lists.
@@ -409,11 +230,12 @@ def _deferred_acceptance_impl(
             fresh = proposals[channel]
             pool = sorted(waitlists[channel] | set(fresh))
             incumbent = sorted(waitlists[channel])
+            args = (market, channel, pool, incumbent, monotone_guard)
             if observing:
                 with rec.span("stage1.mwis"), mwis_timer:
-                    selected = set(select_coalition(channel, pool, incumbent))
+                    selected = set(seller_select_coalition(*args))
             else:
-                selected = set(select_coalition(channel, pool, incumbent))
+                selected = set(seller_select_coalition(*args))
             for j in waitlists[channel] - selected:
                 matched_to[j] = None
                 evictions.append((j, channel))

@@ -1,16 +1,16 @@
 """Struct-of-arrays (SoA) Stage I: batched deferred acceptance.
 
-The scalar Stage-I loop in :mod:`repro.core.deferred_acceptance` solves
-each seller's MWIS one at a time in Python.  This module keeps the same
-algorithm but holds the hot state in contiguous numpy arrays -- buyer
-preference matrices, per-seller packed adjacency rows, waitlist
-membership -- and advances *all* sellers of a proposal round through one
-vectorised score/pick/removal loop.
+The reference Stage-I loop in :mod:`repro.core.deferred_acceptance`
+solves each seller's MWIS one at a time in Python.  This module keeps
+the same algorithm but holds the hot state in contiguous numpy arrays
+-- buyer preference matrices, per-seller packed adjacency rows,
+waitlist membership -- and advances *all* sellers of a proposal round
+through one vectorised score/pick/removal loop.
 
 Equivalence contract
 --------------------
-The batched kernels reproduce the bitset kernels' selections exactly,
-not merely equivalently:
+The batched kernels reproduce the set-based references' selections
+(:mod:`repro.interference.mwis`) exactly, not merely equivalently:
 
 * GWMIN scores are ``w / (deg + 1.0)`` -- the identical two IEEE-754
   operations per node, on the identical operand bits.
@@ -18,11 +18,11 @@ not merely equivalently:
   ascending-index sequential sum (``np.cumsum`` is a left-associated
   running sum; interleaved ``+ 0.0`` terms for non-neighbours do not
   change any bit of a finite partial sum) and decremented one removed
-  node at a time in ascending buyer order, exactly like the scalar
-  ``on_remove`` callback.
+  node at a time in ascending buyer order, exactly like the reference
+  ``mwis_greedy_gwmin2`` loop.
 * Ties break to the smallest buyer index: pool arrays are kept in
   ascending buyer order, so a first-occurrence ``reduceat`` argmax is
-  the same tie-break as the scalar lazy-heap ``(-score, j)`` pop.
+  the same tie-break as the reference's strict-improvement scan.
 * Isolated harvest: a node with no alive pool neighbours can never be
   removed by another pick and its own removal touches no score, so all
   such nodes are moved to the coalition eagerly.  The contested pick
@@ -30,15 +30,13 @@ not merely equivalently:
   keeps the final selection byte-identical while collapsing sparse
   pools in O(1) iterations.
 
-The path is gated by ``SPECTRUM_FAST_KERNELS`` (shared with the bitset
-kernels) plus its own ``SPECTRUM_BATCH_STAGE1`` escape hatch, and only
-covers the algorithms with batched kernels (GWMIN, GWMIN2); everything
-else falls back to the scalar paths.
+The path covers the algorithms in :data:`BATCHED_ALGORITHMS` (GWMIN,
+GWMIN2); :func:`~repro.core.deferred_acceptance.deferred_acceptance`
+sends every other algorithm to the per-seller reference loop.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,21 +49,16 @@ from repro.obs.events import round_to_event
 from repro.obs.recorder import Recorder
 
 __all__ = [
-    "BATCH_STAGE1_ENV",
     "BATCHED_ALGORITHMS",
     "COST_COUNTERS",
     "MarketSoA",
     "SellerPoolCache",
-    "batch_stage1_enabled",
     "batched_deferred_acceptance",
 ]
 
-#: Environment toggle for the batched SoA Stage-I path.  ``"0"`` falls
-#: back to the scalar per-seller kernels; anything else (including
-#: unset) keeps batching on.  Read per call so tests can flip it.
-BATCH_STAGE1_ENV = "SPECTRUM_BATCH_STAGE1"
-
-#: MWIS algorithms with a batched SoA kernel.
+#: MWIS algorithms with a batched SoA kernel.  Stage I picks its path by
+#: membership, read per call, so tests reach the reference loop by
+#: monkeypatching this tuple to ``()``.
 BATCHED_ALGORITHMS = (MwisAlgorithm.GWMIN, MwisAlgorithm.GWMIN2)
 
 _ONE = np.uint64(1)
@@ -85,11 +78,6 @@ COST_COUNTERS: Dict[str, int] = {
     "soa.cache_departed_ops": 0,
     "soa.cache_arrived_ops": 0,
 }
-
-
-def batch_stage1_enabled() -> bool:
-    """Whether the batched SoA Stage-I path is enabled (default yes)."""
-    return os.environ.get(BATCH_STAGE1_ENV, "1") != "0"
 
 
 if hasattr(np, "bitwise_count"):
@@ -130,11 +118,10 @@ DENSE_POOL_THRESHOLD = 4096
 class SellerPoolCache:
     """Slot-stable packed pool state for one seller's candidate pools.
 
-    The numpy analogue of the scalar ``_SellerMwisCache``: between
-    consecutive rounds a seller's pool changes only by the departed
-    (evicted/rejected) members and the fresh proposers, so the packed
-    pool-local adjacency rows are maintained by delta instead of being
-    rebuilt from the channel graph every round.
+    Between consecutive rounds a seller's pool changes only by the
+    departed (evicted/rejected) members and the fresh proposers, so the
+    packed pool-local adjacency rows are maintained by delta instead of
+    being rebuilt from the channel graph every round.
 
     Members occupy *slots* -- indices into fixed arrays.  ``rows[s]`` is
     member ``s``'s neighbourhood within the current pool as packed
@@ -142,9 +129,9 @@ class SellerPoolCache:
     (``slot_of``, ``ids``, ``weights``, ``rows``, ``words``):
 
     * **dense** (``N <= DENSE_POOL_THRESHOLD``): slots *are* buyer ids.
-      Rows live in a fixed ``(N, ceil(N/64))`` table and the update is a
-      direct transcription of the scalar cache's delta formula,
-      ``row = (row & ~departed) | (adjacency & arrived)``, on the
+      Rows live in a fixed ``(N, ceil(N/64))`` table and the update is
+      the delta formula
+      ``row = (row & ~departed) | (adjacency & arrived)`` on the
       channel graph's packed adjacency matrix -- a few word-wide
       vectorised ops per round.
     * **sparse** (large ``N``): slots are recycled pool-local indices,
@@ -256,8 +243,8 @@ class SellerPoolCache:
             arr_words = _mask_words(arrivals, words)
             pool_words |= arr_words
         if remain.size:
-            # The scalar cache's delta formula, one vectorised pass over
-            # the surviving members' rows.
+            # The delta formula, one vectorised pass over the surviving
+            # members' rows.
             if departed.size and arrivals.size:
                 rows[remain] = (rows[remain] & ~dep_words) | (
                     adj[remain] & arr_words
@@ -399,7 +386,7 @@ def _batched_mwis(
     closed = None
     if gwmin2:
         # Closed-neighbourhood weights, initialised per segment by the
-        # ascending-buyer sequential sum the scalar kernel performs.
+        # ascending-buyer sequential sum the reference performs.
         closed = np.empty(total, dtype=np.float64)
         for s in range(num_segments):
             s0, s1 = int(offsets[s]), int(offsets[s + 1])
@@ -497,11 +484,11 @@ def _batched_mwis(
         alive[pseg] = before & ~removed
 
         if gwmin2 and picks.size:
-            # Mirror the scalar on_remove exactly: every removed node,
-            # in ascending buyer order, subtracts its weight from the
+            # Mirror the reference exactly: every removed node, in
+            # ascending buyer order, subtracts its weight from the
             # closed weight of each pool neighbour -- one scalar
-            # subtraction per (removed, neighbour) pair.  The scalar
-            # kernel only touches *alive* neighbours; decrementing dead
+            # subtraction per (removed, neighbour) pair.  The reference
+            # only touches *alive* neighbours; decrementing dead
             # ones too is output-identical (a dead member's closed
             # weight is never read again) and saves the alive filter.
             # All per-pick bit decoding is batched across the picks of
@@ -572,7 +559,7 @@ class MarketSoA:
     buyer's channels by descending utility, stable-tie-broken to the
     smallest channel index, matching ``buyer_preference_order``) and the
     per-seller :class:`SellerPoolCache` pool states, created lazily per
-    channel exactly like the scalar cache dict.
+    channel.
     """
 
     __slots__ = ("market", "pref_order", "pref_len", "scratch", "_caches")
@@ -685,7 +672,7 @@ def batched_deferred_acceptance(
     monotone_guard: bool = True,
     rec: Optional[Recorder] = None,
 ):
-    """SoA-batched Stage I; byte-identical to the scalar implementations.
+    """SoA-batched Stage I; byte-identical to the reference loop.
 
     Drives the same round structure as ``_deferred_acceptance_impl`` --
     proposals, per-seller coalition re-formation, evictions/rejections,
@@ -812,7 +799,7 @@ def _proposals_record(
 ) -> Dict[int, Tuple[int, ...]]:
     """Round proposals keyed by channel, in first-proposer order.
 
-    The scalar loop inserts a channel into its proposals dict when the
+    The reference loop inserts a channel into its proposals dict when the
     smallest buyer proposing to it is reached, so the dict (and the
     golden trace JSON serialised from it) is ordered by each channel's
     minimum proposer.  ``sorted_prop`` slices are ascending already.
@@ -829,7 +816,7 @@ def _proposals_record(
 def _pairs_record(
     id_arrays: List[np.ndarray], channel_of: List[int]
 ) -> Tuple[Tuple[int, int], ...]:
-    """``(buyer, channel)`` pairs sorted like the scalar trace records.
+    """``(buyer, channel)`` pairs sorted like the reference trace records.
 
     A buyer appears at most once per round (evicted from, or rejected
     by, exactly one channel), so sorting by buyer id alone reproduces

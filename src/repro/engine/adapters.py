@@ -14,7 +14,6 @@ This module is imported lazily by the registry on first lookup; importing
 
 from __future__ import annotations
 
-import os
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
@@ -29,7 +28,6 @@ from repro.engine.protocol import Capability
 from repro.engine.registry import register_solver
 from repro.engine.report import SolveReport, build_bound_report, build_report
 from repro.errors import SolverError
-from repro.interference.bitset import FAST_KERNELS_ENV
 from repro.obs.recorder import Recorder, resolve_recorder, use_recorder
 from repro.obs.spans import SpanTracer
 from repro.optimal.branch_and_bound import (
@@ -151,33 +149,15 @@ class TwoStageSolver(SolverAdapter):
         "The paper's two-stage algorithm: deferred acceptance (Alg. 1) "
         "then transfer-and-invitation (Alg. 2)"
     )
-    config_keys = frozenset({"record_trace", "monotone_guard", "fast_kernels"})
+    config_keys = frozenset({"record_trace", "monotone_guard"})
 
     def _solve(self, market, config, recorder):
-        record_trace = bool(config.get("record_trace", False))
-        monotone_guard = bool(config.get("monotone_guard", True))
-        fast_kernels = config.get("fast_kernels")  # None = honour the env
-
-        def run():
-            return run_two_stage(
-                market,
-                record_trace=record_trace,
-                monotone_guard=monotone_guard,
-                recorder=recorder,
-            )
-
-        if fast_kernels is None:
-            result = run()
-        else:
-            previous = os.environ.get(FAST_KERNELS_ENV)
-            os.environ[FAST_KERNELS_ENV] = "1" if fast_kernels else "0"
-            try:
-                result = run()
-            finally:
-                if previous is None:
-                    os.environ.pop(FAST_KERNELS_ENV, None)
-                else:
-                    os.environ[FAST_KERNELS_ENV] = previous
+        result = run_two_stage(
+            market,
+            record_trace=bool(config.get("record_trace", False)),
+            monotone_guard=bool(config.get("monotone_guard", True)),
+            recorder=recorder,
+        )
         metadata = {
             "welfare_stage1": result.welfare_stage1,
             "welfare_phase1": result.welfare_phase1,

@@ -9,13 +9,16 @@ such an edge.
 :class:`InterferenceGraph` stores one channel's graph as adjacency sets over
 integer buyer identifiers and exposes the queries the matching algorithms
 need: pairwise interference, neighbourhoods, and independence of candidate
-coalitions.  :class:`InterferenceMap` bundles the per-channel family and
-enforces that every graph covers the same buyer population.
+coalitions.  For the batched Stage-I kernel it also carries two array
+forms: a CSR neighbour index (built up front by the array constructors,
+lazily otherwise) and packed bit rows derived from it on demand.
+:class:`InterferenceMap` bundles the per-channel family and enforces that
+every graph covers the same buyer population.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -44,8 +47,7 @@ class InterferenceGraph:
     caches.
     """
 
-    __slots__ = ("_num_buyers", "_adjacency", "_adjacency_bits", "_csr",
-                 "_packed")
+    __slots__ = ("_num_buyers", "_adjacency", "_csr", "_packed")
 
     def __init__(self, num_buyers: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
         if num_buyers < 0:
@@ -66,7 +68,6 @@ class InterferenceGraph:
         self._adjacency: Tuple[FrozenSet[int], ...] = tuple(
             frozenset(neighbours) for neighbours in adjacency
         )
-        self._adjacency_bits: Optional[Tuple[int, ...]] = None
         self._csr = None
         self._packed = None
 
@@ -77,7 +78,10 @@ class InterferenceGraph:
         ``matrix`` must be square and symmetric with a zero diagonal.  This
         constructor skips the per-edge Python loop, which matters for
         large geometric deployments (thousands of buyers, millions of
-        edges).
+        edges).  One ``np.flatnonzero`` over the matrix yields the CSR
+        neighbour index directly (row-major flat positions modulo ``N``
+        are each node's neighbour ids, ascending), so :meth:`neighbor_csr`
+        is free afterwards.
         """
         import numpy as np
 
@@ -92,21 +96,9 @@ class InterferenceGraph:
             )
         if not np.array_equal(matrix, matrix.T):
             raise MarketConfigurationError("adjacency matrix must be symmetric")
-        graph = cls.__new__(cls)
-        graph._num_buyers = int(matrix.shape[0])
-        graph._adjacency = tuple(
-            frozenset(np.flatnonzero(row).tolist()) for row in matrix
-        )
-        # The boolean matrix is in hand, so the bitmask representation is
-        # one vectorised packbits away -- orders of magnitude cheaper than
-        # rebuilding it per edge from the adjacency sets later.
-        packed = np.packbits(matrix, axis=1, bitorder="little")
-        graph._adjacency_bits = tuple(
-            int.from_bytes(row.tobytes(), "little") for row in packed
-        )
-        graph._csr = None
-        graph._packed = None
-        return graph
+        num_buyers = matrix.shape[0]
+        indices = (np.flatnonzero(matrix) % num_buyers).astype(np.int32)
+        return cls._from_csr(num_buyers, np.count_nonzero(matrix, axis=1), indices)
 
     @classmethod
     def from_edge_arrays(cls, num_buyers: int, u, v) -> "InterferenceGraph":
@@ -156,17 +148,30 @@ class InterferenceGraph:
             np.not_equal(src[1:], src[:-1], out=keep[1:])
             keep[1:] |= dst[1:] != dst[:-1]
             src, dst = src[keep], dst[keep]
+        return cls._from_csr(
+            num_buyers,
+            np.bincount(src, minlength=num_buyers),
+            dst.astype(np.int32),
+        )
+
+    @classmethod
+    def _from_csr(cls, num_buyers: int, counts, indices) -> "InterferenceGraph":
+        """Finish a vectorised build from a CSR neighbour index.
+
+        ``counts[j]`` is node ``j``'s degree and ``indices`` lists every
+        node's neighbours in ascending order, node after node; it becomes
+        the CSR neighbour array as-is.
+        """
+        import numpy as np
+
         indptr = np.zeros(num_buyers + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_buyers), out=indptr[1:])
-        indices = dst.astype(np.int32)
+        np.cumsum(counts, out=indptr[1:])
         graph = cls.__new__(cls)
         graph._num_buyers = int(num_buyers)
-        bounds = indptr.tolist()
-        neighbour_lists = np.split(indices, bounds[1:-1])
-        graph._adjacency = tuple(
-            frozenset(chunk.tolist()) for chunk in neighbour_lists
-        )
-        graph._adjacency_bits = None
+        # np.split always returns at least one chunk, so an empty graph
+        # needs its own case.
+        chunks = np.split(indices, indptr[1:-1].tolist()) if num_buyers else []
+        graph._adjacency = tuple(frozenset(chunk.tolist()) for chunk in chunks)
         graph._csr = (indptr, indices)
         graph._packed = None
         return graph
@@ -212,81 +217,30 @@ class InterferenceGraph:
         """Number of interfering neighbours of buyer ``j``."""
         return len(self.neighbors(j))
 
-    @property
-    def adjacency_bits(self) -> Tuple[int, ...]:
-        """Per-node neighbourhoods as Python-int bitmasks.
-
-        ``adjacency_bits[j]`` has bit ``k`` set iff ``j`` and ``k``
-        interfere, so set algebra on candidate pools (intersection,
-        union, membership, degree) becomes word-parallel integer
-        arithmetic.  This is the representation the fast MWIS kernels in
-        :mod:`repro.interference.bitset` operate on.
-
-        Built lazily on first access and cached for the graph's lifetime
-        (the graph is immutable, so the masks never go stale).
-        """
-        if self._adjacency_bits is None:
-            import numpy as np
-
-            masks = []
-            bits = np.zeros(self._num_buyers, dtype=np.uint8)
-            for neighbours in self._adjacency:
-                if neighbours:
-                    idx = np.fromiter(
-                        neighbours, dtype=np.int64, count=len(neighbours)
-                    )
-                    bits[idx] = 1
-                    mask = int.from_bytes(
-                        np.packbits(bits, bitorder="little").tobytes(), "little"
-                    )
-                    bits[idx] = 0
-                else:
-                    mask = 0
-                masks.append(mask)
-            self._adjacency_bits = tuple(masks)
-        return self._adjacency_bits
-
     def neighbor_csr(self):
         """Per-node neighbour lists in CSR form: ``(indptr, indices)``.
 
         ``indices[indptr[j]:indptr[j + 1]]`` is buyer ``j``'s neighbour
         set as an ascending ``int32`` array.  This is the zero-copy,
         array-native view the struct-of-arrays Stage-I path consumes when
-        linking pool arrivals into the packed adjacency rows.  Built
-        lazily (vectorised from the bitmasks when they exist, otherwise
-        from the adjacency sets) and cached for the graph's lifetime.
+        linking pool arrivals into the packed adjacency rows.  The
+        vectorised constructors build it up front; for graphs built from
+        an edge iterable it is built lazily from the adjacency sets and
+        cached for the graph's lifetime.
         """
         if self._csr is None:
             import numpy as np
 
             n = self._num_buyers
-            if self._adjacency_bits is not None and n:
-                # Unpack the cached Python-int masks in bulk: fixed-width
-                # little-endian bytes -> a (N, N) bit matrix -> nonzero.
-                width = (n + 7) // 8
-                raw = b"".join(
-                    mask.to_bytes(width, "little")
-                    for mask in self._adjacency_bits
-                )
-                bits = np.unpackbits(
-                    np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
-                    axis=1,
-                    bitorder="little",
-                )[:, :n]
-                rows, cols = np.nonzero(bits)
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-                indices = cols.astype(np.int32)
-            else:
-                counts = [len(nbrs) for nbrs in self._adjacency]
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(np.asarray(counts, dtype=np.int64), out=indptr[1:])
-                indices = np.empty(int(indptr[-1]), dtype=np.int32)
-                for j, nbrs in enumerate(self._adjacency):
-                    if nbrs:
-                        chunk = np.fromiter(nbrs, dtype=np.int32, count=len(nbrs))
-                        chunk.sort()
-                        indices[indptr[j] : indptr[j + 1]] = chunk
+            counts = [len(nbrs) for nbrs in self._adjacency]
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.asarray(counts, dtype=np.int64), out=indptr[1:])
+            indices = np.empty(int(indptr[-1]), dtype=np.int32)
+            for j, nbrs in enumerate(self._adjacency):
+                if nbrs:
+                    chunk = np.fromiter(nbrs, dtype=np.int32, count=len(nbrs))
+                    chunk.sort()
+                    indices[indptr[j] : indptr[j + 1]] = chunk
             self._csr = (indptr, indices)
         return self._csr
 
@@ -294,9 +248,8 @@ class InterferenceGraph:
         """Adjacency as a dense ``(N, ceil(N/64))`` uint64 bit matrix.
 
         Row ``j`` packs buyer ``j``'s neighbourhood little-endian over
-        buyer-id bit positions -- the array-native counterpart of
-        :attr:`adjacency_bits` consumed by the struct-of-arrays Stage-I
-        pool caches.  Dense in ``N``, so callers should only use it for
+        buyer-id bit positions -- the dense pool-row source consumed by
+        the struct-of-arrays Stage-I pool caches.  Dense in ``N``, so callers should only use it for
         small-to-medium markets (the SoA layer falls back to CSR-based
         pool rows above its density threshold).  Built lazily and cached
         for the graph's lifetime.

@@ -28,28 +28,20 @@ the search to their current candidate pool, and all break ties
 deterministically (strictly-greater score wins, equal scores go to the
 smallest buyer index) so simulation runs are reproducible.
 
-GWMIN and GWMIN2 each have two implementations: the set-based reference
-loops in this module and the bitmask kernels of
-:mod:`repro.interference.bitset`, selected by the ``SPECTRUM_FAST_KERNELS``
-environment variable (on by default; ``SPECTRUM_FAST_KERNELS=0`` forces
-the reference path).  The two paths return identical coalitions -- the
-differential property suite asserts element-for-element equality on
-random graphs -- so the toggle is purely a performance knob.
+These set-based loops are the reference implementations.  Stage I's
+batched kernel (:mod:`repro.core.soa`) reproduces GWMIN and GWMIN2
+selection for selection -- the differential suite asserts
+element-for-element equality on random graphs -- and every other caller
+(Stage II, the distributed sellers, :func:`mwis_solve`) runs the loops
+here directly.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Set
 
 from repro.errors import SolverError, SolverLimitExceeded
-from repro.interference.bitset import (
-    fast_kernels_enabled,
-    induced_masks,
-    mask_of,
-    mwis_gwmin2_bits,
-    mwis_gwmin_bits,
-)
 from repro.interference.graph import InterferenceGraph
 
 __all__ = [
@@ -164,23 +156,6 @@ def _greedy_select(
     return chosen
 
 
-def _fast_pool(
-    graph: InterferenceGraph,
-    weights: Mapping[int, float],
-    nodes: Iterable[int],
-) -> Tuple[List[int], Dict[int, int]]:
-    """Validate ``nodes`` and build (pool, induced bitmasks) for a kernel."""
-    node_set = set(nodes)
-    for j in node_set:
-        # Same bounds check (and error type) the set-based path performs
-        # through graph.neighbors().
-        graph._check_node(j)
-    _validate_weights(weights, node_set)
-    pool = sorted(node_set)
-    induced = induced_masks(graph.adjacency_bits, pool, mask_of(pool))
-    return pool, induced
-
-
 def mwis_greedy_gwmin(
     graph: InterferenceGraph,
     weights: Mapping[int, float],
@@ -188,13 +163,8 @@ def mwis_greedy_gwmin(
 ) -> List[int]:
     """GWMIN greedy MWIS on the subgraph induced by ``nodes``.
 
-    Returns the selected buyers in ascending index order.  Dispatches to
-    the bitmask kernel unless ``SPECTRUM_FAST_KERNELS=0``; both paths
-    return the identical coalition.
+    Returns the selected buyers in ascending index order.
     """
-    if fast_kernels_enabled():
-        pool, induced = _fast_pool(graph, weights, nodes)
-        return mwis_gwmin_bits(weights, pool, induced)
 
     def score(j: int, adjacency: Dict[int, Set[int]]) -> float:
         return weights[j] / (len(adjacency[j]) + 1.0)
@@ -209,15 +179,12 @@ def mwis_greedy_gwmin2(
 ) -> List[int]:
     """GWMIN2 greedy MWIS (closed-neighbourhood weight ratio scoring).
 
-    Dispatches to the bitmask kernel unless ``SPECTRUM_FAST_KERNELS=0``.
-    Both paths maintain each node's closed-neighbourhood weight with the
-    same floating-point operation sequence (ascending-index initial sum,
-    per-removal decrements), so their outputs are identical coalitions.
+    Each node's closed-neighbourhood weight is initialised by an
+    ascending-index sum and decremented once per removed neighbour in
+    ascending order; Stage I's batched kernel replays this exact
+    floating-point operation sequence, so both return identical
+    coalitions.
     """
-    if fast_kernels_enabled():
-        pool, induced = _fast_pool(graph, weights, nodes)
-        return mwis_gwmin2_bits(weights, pool, induced)
-
     adjacency = _induced_adjacency(graph, nodes)
     _validate_weights(weights, adjacency)
     closed: Dict[int, float] = {}

@@ -1,13 +1,12 @@
 """Deterministic kernel cost counters: profiling's machine-independent half.
 
-The hot kernels (:mod:`repro.interference.bitset`,
-:mod:`repro.core.soa`, the scalar Stage-I pool cache in
-:mod:`repro.core.deferred_acceptance`) each accumulate operation counts
--- heap pops, popcount words, reduceat rows, cache deltas -- into a
-module-level ``COST_COUNTERS`` dict as plain integer adds, a cost small
-enough to leave on unconditionally.  This module is the single consumer:
-it resets the providers before a profiled region, snapshots them after,
-and (only then) emits the counts through the metrics registry.
+The batched Stage-I kernel (:mod:`repro.core.soa`) accumulates
+operation counts -- select iterations, popcount words, reduceat rows,
+pool-cache deltas -- into a module-level ``COST_COUNTERS`` dict as plain
+integer adds, a cost small enough to leave on unconditionally.  This
+module is the single consumer: it resets the providers before a
+profiled region, snapshots them after, and (only then) emits the counts
+through the metrics registry.
 
 Because two same-seed runs execute the identical operation sequence,
 their snapshots must be *equal* -- any drift is an algorithmic change,
@@ -15,7 +14,7 @@ never hardware noise.  That property is what ``repro profile diff`` and
 the perf gate's attribution diff are built on.
 
 Counter naming follows ``component.noun_ops`` (e.g.
-``bitset.heap_pop_ops``, ``soa.reduceat_row_ops``).
+``soa.popcount_word_ops``, ``soa.reduceat_row_ops``).
 """
 
 from __future__ import annotations
@@ -32,11 +31,7 @@ __all__ = [
 #: (module, attribute) pairs exposing a ``Dict[str, int]`` of counters.
 #: Imported lazily so merely importing :mod:`repro.prof` never drags the
 #: numpy-backed kernels in.
-_PROVIDERS = (
-    ("repro.interference.bitset", "COST_COUNTERS"),
-    ("repro.core.soa", "COST_COUNTERS"),
-    ("repro.core.deferred_acceptance", "COST_COUNTERS"),
-)
+_PROVIDERS = (("repro.core.soa", "COST_COUNTERS"),)
 
 
 def _provider_dicts() -> List[Dict[str, int]]:

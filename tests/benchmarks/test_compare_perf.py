@@ -195,7 +195,6 @@ def _kernels_report(fast_median=0.010, reference_median=0.050, **side_kwargs):
     return {
         "benchmark": "kernels",
         "fast": fast,
-        "scalar": _kernel_side(0.020),
         "reference": reference,
         "speedup": reference["median_s"] / fast["median_s"],
         "identical_matching": True,

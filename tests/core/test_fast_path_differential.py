@@ -1,11 +1,11 @@
-"""End-to-end differential: the Stage-I kernel cache vs the reference.
+"""End-to-end differential: the batched Stage-I path vs the reference.
 
-:mod:`repro.core.deferred_acceptance` keeps an incremental per-seller
-MWIS cache on the fast path.  These tests prove the whole two-stage
-pipeline -- matching, per-stage welfare and round counts -- is
-byte-identical to the set-based reference (``SPECTRUM_FAST_KERNELS=0``)
-across seeds, market shapes and MWIS algorithm choices, and that the
-environment toggle actually switches paths.
+:mod:`repro.core.deferred_acceptance` runs the batched SoA kernel for the
+algorithms in ``soa.BATCHED_ALGORITHMS`` and the per-seller set-based
+loop otherwise.  These tests prove the whole two-stage pipeline --
+matching, per-stage welfare and round counts -- is byte-identical on
+both paths (the reference reached by emptying that tuple) across seeds,
+market shapes and MWIS algorithm choices.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.soa as soa
 from repro.core.two_stage import run_two_stage
-from repro.interference.bitset import FAST_KERNELS_ENV
 from repro.interference.mwis import MwisAlgorithm
 from repro.workloads.scenarios import paper_simulation_market
 
@@ -49,10 +49,9 @@ def test_run_two_stage_identical_across_kernel_paths(monkeypatch, algorithm, see
             40, 5, np.random.default_rng([seed, 40]), mwis_algorithm=algorithm
         )
 
-    monkeypatch.delenv(FAST_KERNELS_ENV, raising=False)
     market = build()
     fast = _fingerprint(market, run_two_stage(market, record_trace=False))
-    monkeypatch.setenv(FAST_KERNELS_ENV, "0")
+    monkeypatch.setattr(soa, "BATCHED_ALGORITHMS", ())
     market = build()
     reference = _fingerprint(market, run_two_stage(market, record_trace=False))
     assert fast == reference
@@ -66,9 +65,8 @@ def test_identical_with_and_without_monotone_guard(monkeypatch, monotone_guard):
             market, run_two_stage(market, record_trace=False, monotone_guard=monotone_guard)
         )
 
-    monkeypatch.delenv(FAST_KERNELS_ENV, raising=False)
     fast = run()
-    monkeypatch.setenv(FAST_KERNELS_ENV, "0")
+    monkeypatch.setattr(soa, "BATCHED_ALGORITHMS", ())
     assert fast == run()
 
 
@@ -79,8 +77,7 @@ def test_trace_records_identical(monkeypatch):
         result = run_two_stage(market, record_trace=True)
         return result.stage_one.rounds
 
-    monkeypatch.delenv(FAST_KERNELS_ENV, raising=False)
     fast_rounds = run()
-    monkeypatch.setenv(FAST_KERNELS_ENV, "0")
+    monkeypatch.setattr(soa, "BATCHED_ALGORITHMS", ())
     reference_rounds = run()
     assert fast_rounds == reference_rounds

@@ -23,9 +23,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.soa import BATCH_STAGE1_ENV
+import repro.core.soa as soa
 from repro.core.two_stage import run_two_stage
-from repro.interference.bitset import FAST_KERNELS_ENV
 from repro.obs import JsonlEventSink, Recorder, use_recorder
 from repro.workloads.scenarios import paper_simulation_market
 
@@ -57,20 +56,16 @@ def generate_trace() -> str:
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("kernel_mode", ["batched", "scalar", "reference"])
+@pytest.mark.parametrize("kernel_mode", ["batched", "reference"])
 def test_trace_matches_golden_file(monkeypatch, kernel_mode):
-    """All three Stage-I paths must replay the golden trace byte-exactly.
+    """Both Stage-I paths must replay the golden trace byte-exactly.
 
-    ``batched`` is the default SoA fast path, ``scalar`` the per-seller
-    bitset kernels (``SPECTRUM_BATCH_STAGE1=0``), ``reference`` the
-    set-based loops (``SPECTRUM_FAST_KERNELS=0``).
+    ``batched`` is the default SoA fast path, ``reference`` the
+    per-seller set-based loop (reached by emptying
+    ``soa.BATCHED_ALGORITHMS``).
     """
-    monkeypatch.delenv(FAST_KERNELS_ENV, raising=False)
-    monkeypatch.delenv(BATCH_STAGE1_ENV, raising=False)
-    if kernel_mode == "scalar":
-        monkeypatch.setenv(BATCH_STAGE1_ENV, "0")
-    elif kernel_mode == "reference":
-        monkeypatch.setenv(FAST_KERNELS_ENV, "0")
+    if kernel_mode == "reference":
+        monkeypatch.setattr(soa, "BATCHED_ALGORITHMS", ())
     with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
         golden = handle.read()
     assert generate_trace() == golden

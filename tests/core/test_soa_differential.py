@@ -1,27 +1,24 @@
-"""Differential suite: batched SoA Stage I vs the scalar references.
+"""Differential suite: batched SoA Stage I vs the set-based reference.
 
 The struct-of-arrays batched path (:mod:`repro.core.soa`) promises
 *byte-identical* Stage-I outcomes -- the same coalitions, the same
-welfare bits, the same round/proposal counts -- as both the scalar
-bitset-kernel path (``SPECTRUM_BATCH_STAGE1=0``) and the set-based
-reference path (``SPECTRUM_FAST_KERNELS=0``).  These tests enforce that
-promise across seeds, MWIS algorithms, both monotone-guard settings and
-both :class:`~repro.core.soa.SellerPoolCache` layouts, with Hypothesis
-exploring random geometric markets when it is installed (mirroring
-``tests/interference/test_bitset_differential.py`` one layer down).
+welfare bits, the same round/proposal counts -- as the per-seller
+reference loop over the set-based MWIS solvers, which Stage I takes
+when ``soa.BATCHED_ALGORITHMS`` excludes the market's algorithm.  These
+tests enforce that promise across seeds, MWIS algorithms, both
+monotone-guard settings and both :class:`~repro.core.soa.SellerPoolCache`
+layouts, with Hypothesis exploring random geometric markets when it is
+installed (mirroring ``tests/interference/test_mwis_differential.py``
+one layer down).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
 import repro.core.soa as soa
 from repro.core.deferred_acceptance import deferred_acceptance
-from repro.core.soa import BATCH_STAGE1_ENV, batch_stage1_enabled
-from repro.interference.bitset import FAST_KERNELS_ENV
 from repro.interference.mwis import MwisAlgorithm
 from repro.workloads.scenarios import paper_simulation_market
 
@@ -32,23 +29,13 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is optional
     HAVE_HYPOTHESIS = False
 
-MODES = ("batched", "scalar", "reference")
+MODES = ("batched", "reference")
 
 ALGORITHMS = (
     MwisAlgorithm.GWMIN,
     MwisAlgorithm.GWMIN2,
     MwisAlgorithm.GWMAX,
 )
-
-
-def _set_mode(mode: str) -> None:
-    """Point the env toggles at one of the three Stage-I paths."""
-    os.environ.pop(FAST_KERNELS_ENV, None)
-    os.environ.pop(BATCH_STAGE1_ENV, None)
-    if mode == "scalar":
-        os.environ[BATCH_STAGE1_ENV] = "0"
-    elif mode == "reference":
-        os.environ[FAST_KERNELS_ENV] = "0"
 
 
 def _fingerprint(market, result):
@@ -69,23 +56,23 @@ def _fingerprint(market, result):
 
 def _all_modes(market, monotone_guard: bool):
     """Fingerprint the same market through every Stage-I path."""
+    # Set and restored by hand rather than with ``monkeypatch``:
+    # hypothesis forbids function-scoped fixtures under ``@given``.
+    batched = soa.BATCHED_ALGORITHMS
     prints = {}
     for mode in MODES:
-        _set_mode(mode)
+        soa.BATCHED_ALGORITHMS = batched if mode == "batched" else ()
         try:
             result = deferred_acceptance(
                 market, record_trace=True, monotone_guard=monotone_guard
             )
         finally:
-            _set_mode("batched")  # restore the default env
+            soa.BATCHED_ALGORITHMS = batched
         prints[mode] = _fingerprint(market, result)
     return prints
 
 
 def _assert_identical(prints, context: str) -> None:
-    assert prints["batched"] == prints["scalar"], (
-        f"{context}: batched SoA diverged from the scalar kernels"
-    )
     assert prints["batched"] == prints["reference"], (
         f"{context}: batched SoA diverged from the set-based reference"
     )
@@ -114,12 +101,6 @@ class TestBatchedDifferential:
                 f"seed={seed} N={num_buyers} M={num_channels} "
                 f"alg={algorithm.value} guard={monotone_guard}",
             )
-
-    def test_batching_defaults_on(self, monkeypatch):
-        monkeypatch.delenv(BATCH_STAGE1_ENV, raising=False)
-        assert batch_stage1_enabled()
-        monkeypatch.setenv(BATCH_STAGE1_ENV, "0")
-        assert not batch_stage1_enabled()
 
 
 class TestSparsePoolLayout:
@@ -162,8 +143,7 @@ if HAVE_HYPOTHESIS:
 
     class TestDifferentialHypothesis:
         """Random geometric markets, exploring sizes/seeds the sweep
-        above does not pin down.  Env toggled manually: hypothesis
-        forbids function-scoped fixtures under ``@given``."""
+        above does not pin down."""
 
         @settings(max_examples=40, deadline=None)
         @given(

@@ -190,6 +190,14 @@ class TestReportContract:
         with pytest.raises(SolverError, match="check_stability"):
             get_solver("two_stage").solve(toy_market, config={"bogus": 1})
 
+    def test_removed_kernel_toggle_rejected(self, toy_market):
+        # Stage I has no kernel switch any more: a caller still asking
+        # for one must fail loudly, not silently run the default path.
+        with pytest.raises(SolverError, match=r"\['fast_kernels'\]"):
+            get_solver("two_stage").solve(
+                toy_market, config={"fast_kernels": False}
+            )
+
     def test_unknown_distributed_policy_rejected(self, toy_market):
         with pytest.raises(SolverError, match="unknown distributed policy"):
             get_solver("distributed").solve(toy_market, config={"policy": "nope"})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import MarketConfigurationError
@@ -41,6 +42,46 @@ class TestInterferenceGraphConstruction:
     def test_edges_are_sorted_tuples(self):
         graph = InterferenceGraph(4, [(3, 1), (2, 0)])
         assert sorted(graph.edges()) == [(0, 2), (1, 3)]
+
+    @pytest.mark.parametrize(
+        "num_buyers,edges",
+        [
+            # Node 4 and the last node are isolated (empty CSR rows at
+            # the start, middle and end of the index).
+            (9, [(1, 0), (0, 3), (1, 2), (2, 5), (3, 6), (5, 6), (1, 6), (6, 2)]),
+            (3, []),
+            (0, []),
+        ],
+    )
+    def test_constructors_agree(self, num_buyers, edges):
+        # One edge set through all three constructors: every derived
+        # view must coincide, including the CSR index the matrix and
+        # edge-array constructors build up front.
+        matrix = np.zeros((num_buyers, num_buyers), dtype=bool)
+        for j, k in edges:
+            matrix[j, k] = matrix[k, j] = True
+        u = np.array([j for j, _ in edges], dtype=np.int64)
+        v = np.array([k for _, k in edges], dtype=np.int64)
+        reference = InterferenceGraph(num_buyers, edges)
+        for graph in (
+            InterferenceGraph.from_adjacency_matrix(matrix),
+            # Reversed and duplicated pairs must merge like the
+            # iterable constructor's.
+            InterferenceGraph.from_edge_arrays(
+                num_buyers, np.concatenate([v, u]), np.concatenate([u, v])
+            ),
+        ):
+            assert graph == reference
+            for j in range(num_buyers):
+                assert graph.neighbors(j) == reference.neighbors(j)
+            for got, want in zip(graph.neighbor_csr(), reference.neighbor_csr()):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                graph.packed_rows(), reference.packed_rows()
+            )
+            for got, want in zip(graph.edge_arrays(), reference.edge_arrays()):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestInterferenceQueries:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SolverError, SolverLimitExceeded
+from repro.errors import MarketConfigurationError, SolverError, SolverLimitExceeded
 from repro.interference.generators import complete_graph, empty_graph, ring_graph
 from repro.interference.graph import InterferenceGraph
 from repro.interference.mwis import (
@@ -142,3 +142,8 @@ class TestDispatch:
     def test_solve_unknown_algorithm_raises(self, path4):
         with pytest.raises(ValueError):
             mwis_solve(path4, {0: 1.0}, [0], "nonsense")
+
+    @pytest.mark.parametrize("algorithm", list(MwisAlgorithm))
+    def test_out_of_range_node_raises(self, algorithm, path4):
+        with pytest.raises(MarketConfigurationError, match="out of range"):
+            mwis_solve(path4, {0: 1.0, 4: 1.0}, [0, 4], algorithm)

@@ -105,11 +105,9 @@ class TestProfilerUnit:
             recorder,
         )
         profiler.start()
-        from repro.interference.bitset import COST_COUNTERS
+        from repro.core.soa import COST_COUNTERS
 
-        COST_COUNTERS["bitset.heap_pop_ops"] += 3
+        COST_COUNTERS["soa.pick_ops"] += 3
         profiler.stop()
-        assert profiler.payload["counters"]["bitset.heap_pop_ops"] == 3
-        assert (
-            registry.snapshot()["counters"]["bitset.heap_pop_ops"] == 3
-        )
+        assert profiler.payload["counters"]["soa.pick_ops"] == 3
+        assert registry.snapshot()["counters"]["soa.pick_ops"] == 3

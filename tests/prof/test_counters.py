@@ -41,7 +41,7 @@ class TestLifecycle:
     def test_snapshot_names_follow_convention(self):
         for name in snapshot_cost_counters():
             component, noun = name.split(".", 1)
-            assert component in ("bitset", "soa", "stage1")
+            assert component == "soa"
             assert noun.endswith("_ops")
 
     def test_kernel_run_accumulates_counts(self):
