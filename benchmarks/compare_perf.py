@@ -20,10 +20,10 @@ Reads every ``BENCH_*.json`` present in both directories and fails
 
 In both modes the sweep report must show ``parallel_speedup > 1``
 whenever the *current* run's ``env.cpu_count`` is greater than one
-(:func:`check_parallel_speedup`): with persistent pools and
-shared-memory task inputs the parallel path has no excuse to lose to
-serial on a multi-core machine.  Single-core runners skip the rule --
-there a speedup above 1 is physically impossible.
+(:func:`check_parallel_speedup`): with a persistent worker pool the
+parallel path pays process start-up once per harness, so it has no
+excuse to lose to serial on a multi-core machine.  Single-core runners
+skip the rule -- there a speedup above 1 is physically impossible.
 
 Failures *explain themselves*.  A failing kernels report is followed by
 an attribution diff of the harness's span tables and deterministic cost

@@ -39,7 +39,6 @@ __all__ = [
     "optimal_comparison_series",
     "stage_breakdown_series",
     "solver_grid_series",
-    "stage1_variant_series",
 ]
 
 #: Registry name of the benchmark solver historically selected by
@@ -476,148 +475,3 @@ def solver_grid_series(
             )
         )
     return rows
-
-
-# ----------------------------------------------------------------------
-# Shared-memory market sweeps
-# ----------------------------------------------------------------------
-#
-# The sweeps above regenerate a *different* market per repetition, so
-# each task carries only a seed.  Variant sweeps invert the shape: one
-# (possibly very large) market, many algorithm variants run against it.
-# Shipping that market through the task pickle per variant is exactly
-# the per-task copying parallel_map's ``shared=`` transport exists to
-# remove: the parent publishes the utility matrix and the per-channel
-# interference edge lists once, workers attach by segment name, and
-# each task is just a variant descriptor.
-
-#: Per-process cache of markets rebuilt from attached shared arrays,
-#: keyed by id() of the (cached, process-stable) attachment dict.  The
-#: entry pins the dict so the id cannot be recycled while cached.
-_SHARED_MARKET_CACHE: Dict[int, Tuple[object, object]] = {}
-
-
-def market_shared_arrays(market) -> Dict[str, np.ndarray]:
-    """Flatten a market into the arrays ``stage1_variant_series`` ships.
-
-    ``utilities`` is the ``(N, M)`` price matrix; the per-channel
-    interference graphs travel as one concatenated undirected edge list
-    (``edges_u`` / ``edges_v``) sliced by ``edges_indptr`` (length
-    ``M + 1``), the usual CSR-of-channels layout.
-    """
-    u_parts: List[np.ndarray] = []
-    v_parts: List[np.ndarray] = []
-    counts = [0]
-    for channel in range(market.num_channels):
-        u, v = market.interference.graph(channel).edge_arrays()
-        u_parts.append(u)
-        v_parts.append(v)
-        counts.append(u.size)
-    empty = np.empty(0, dtype=np.int32)
-    return {
-        "utilities": np.asarray(market.utilities, dtype=np.float64),
-        "edges_u": np.concatenate(u_parts) if u_parts else empty,
-        "edges_v": np.concatenate(v_parts) if v_parts else empty,
-        "edges_indptr": np.cumsum(counts, dtype=np.int64),
-    }
-
-
-def _market_from_shared(
-    arrays: Mapping[str, np.ndarray], algorithm: str
-):
-    """Rebuild a market from attached arrays (graphs cached per bundle)."""
-    from repro.core.market import SpectrumMarket
-    from repro.interference.graph import InterferenceGraph, InterferenceMap
-    from repro.interference.mwis import MwisAlgorithm
-
-    key = id(arrays)
-    cached = _SHARED_MARKET_CACHE.get(key)
-    if cached is None or cached[0] is not arrays:
-        utilities = arrays["utilities"]
-        indptr = arrays["edges_indptr"]
-        graphs = [
-            InterferenceGraph.from_edge_arrays(
-                utilities.shape[0],
-                arrays["edges_u"][indptr[i] : indptr[i + 1]],
-                arrays["edges_v"][indptr[i] : indptr[i + 1]],
-            )
-            for i in range(indptr.size - 1)
-        ]
-        cached = (arrays, InterferenceMap(graphs))
-        _SHARED_MARKET_CACHE[key] = cached
-    return SpectrumMarket(
-        np.array(arrays["utilities"], dtype=np.float64),
-        cached[1],
-        mwis_algorithm=MwisAlgorithm(algorithm),
-    )
-
-
-@dataclass(frozen=True)
-class _StageOneVariant:
-    """One Stage-I configuration to run against the shared market."""
-
-    algorithm: str
-    monotone_guard: bool
-
-
-def _stage1_variant_task(
-    variant: _StageOneVariant, arrays: Mapping[str, np.ndarray]
-) -> Dict[str, float]:
-    """Run one Stage-I variant on the shared market; return plain floats."""
-    from repro.core.deferred_acceptance import deferred_acceptance
-
-    market = _market_from_shared(arrays, variant.algorithm)
-    result = deferred_acceptance(
-        market, record_trace=False, monotone_guard=variant.monotone_guard
-    )
-    return {
-        "welfare": float(
-            result.matching.social_welfare(market.utilities)
-        ),
-        "rounds": float(result.num_rounds),
-        "proposals": float(result.total_proposals),
-        "matched": float(result.matching.num_matched()),
-    }
-
-
-def stage1_variant_series(
-    market,
-    algorithms: Sequence[str] = ("gwmin", "gwmin2"),
-    guards: Sequence[bool] = (True, False),
-    jobs: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Run Stage I under every (MWIS algorithm, guard) variant.
-
-    The market is published to workers through shared memory exactly
-    once; each task ships only its variant descriptor, so the cost per
-    variant is the solve itself even for ``N`` in the tens of
-    thousands.  Serial (``jobs in (None, 1)``) and parallel runs return
-    identical rows: the tasks are pure functions of (market, variant)
-    and results come back in submission order.
-
-    Returns one dict per variant: ``algorithm``, ``monotone_guard``,
-    and the measurements of :func:`_stage1_variant_task`.
-    """
-    variants = [
-        _StageOneVariant(algorithm=str(a), monotone_guard=bool(g))
-        for a in algorithms
-        for g in guards
-    ]
-    if not variants:
-        raise SpectrumMatchingError(
-            "stage1_variant_series needs at least one algorithm and guard"
-        )
-    samples = parallel_map(
-        _stage1_variant_task,
-        variants,
-        jobs=jobs,
-        shared=market_shared_arrays(market),
-    )
-    return [
-        {
-            "algorithm": variant.algorithm,
-            "monotone_guard": variant.monotone_guard,
-            **sample,
-        }
-        for variant, sample in zip(variants, samples)
-    ]

@@ -29,23 +29,16 @@ results:
   fails the sweep.  Retrying is safe precisely because tasks are
   deterministic pure functions of their arguments (seed stability
   above).
-* **Persistent workers.**  Historically every :func:`parallel_map` call
-  built a fresh pool, so a harness that sweeps repeatedly paid the
-  fork + import tax per call -- the committed ``BENCH_sweep`` baseline
-  even showed the parallel path *losing* to serial.  Pools are now
-  module-owned and reused across calls (same worker count -> same
-  processes, verified by the pool tests' pid assertions); a broken pool
-  is discarded and rebuilt, and ``SPECTRUM_PERSISTENT_POOL=0`` restores
-  the per-call behaviour.  :func:`shutdown_pools` (also registered via
-  ``atexit``) tears the cached pool down explicitly.
-* **Shared-memory task inputs.**  ``shared=`` publishes a mapping of
-  numpy arrays through :mod:`repro.analysis.shm` exactly once per call;
-  workers attach by segment name (cached per process) and the tasks
-  themselves ship only indices/seeds.  The segments are unlinked in a
-  ``finally`` -- pool crash, worker SIGKILL, or task exception included
-  -- so ``/dev/shm`` never accumulates leftovers.
+* **Persistent workers.**  The pool is module-owned and reused across
+  calls (same worker count -> same processes, verified by the pool
+  tests' pid assertions), so a harness that sweeps repeatedly -- as
+  ``BENCH_sweep`` does -- pays the fork + import tax once rather than
+  per call.  A broken pool is discarded and rebuilt;
+  :func:`shutdown_pools` (also registered via ``atexit``) tears the
+  cached pool down explicitly.
 
-Worker functions and their arguments must be picklable (module-level
+Work reaches a worker only as a pickled ``(fn, item)`` task, so worker
+functions and their arguments must be picklable (module-level
 functions and plain dataclasses), which is why
 :mod:`repro.analysis.experiments` factors its per-repetition work into
 module-level task functions shared by the serial and parallel paths.
@@ -57,42 +50,15 @@ import atexit
 import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    TypeVar,
-)
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
-import numpy as np
-
-from repro.analysis.shm import SharedArrayBundle, SharedArrayManifest, attach
 from repro.errors import ParallelExecutionError, SpectrumMatchingError
 from repro.obs.recorder import resolve_recorder
 
-__all__ = [
-    "resolve_jobs",
-    "parallel_map",
-    "persistent_pool_enabled",
-    "shutdown_pools",
-    "PERSISTENT_POOL_ENV",
-]
+__all__ = ["resolve_jobs", "parallel_map", "shutdown_pools"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: Set to ``"0"`` to disable pool reuse across :func:`parallel_map`
-#: calls (a fresh pool per call, the historical behaviour).
-PERSISTENT_POOL_ENV = "SPECTRUM_PERSISTENT_POOL"
-
-
-def persistent_pool_enabled() -> bool:
-    """Whether pools are kept alive across ``parallel_map`` calls."""
-    return os.environ.get(PERSISTENT_POOL_ENV, "1") != "0"
-
 
 #: The cached executor and the worker count it was built with.
 _POOL: Optional[ProcessPoolExecutor] = None
@@ -106,8 +72,6 @@ def _acquire_pool(worker_count: int) -> ProcessPoolExecutor:
     for a small task list does not spawn idle processes.
     """
     global _POOL, _POOL_WORKERS
-    if not persistent_pool_enabled():
-        return ProcessPoolExecutor(max_workers=worker_count)
     if _POOL is not None and _POOL_WORKERS != worker_count:
         shutdown_pools()
     if _POOL is None:
@@ -117,7 +81,7 @@ def _acquire_pool(worker_count: int) -> ProcessPoolExecutor:
 
 
 def _discard_pool(pool: ProcessPoolExecutor) -> None:
-    """Drop a pool that broke (or a one-shot pool after use)."""
+    """Drop a pool that broke."""
     global _POOL, _POOL_WORKERS
     if pool is _POOL:
         _POOL, _POOL_WORKERS = None, 0
@@ -159,36 +123,20 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _shared_call(
-    fn: Callable[[_T, Mapping[str, np.ndarray]], _R],
-    manifest: SharedArrayManifest,
-    item: _T,
-) -> _R:
-    """Worker-side trampoline: attach the bundle, then run the task."""
-    return fn(item, attach(manifest))
-
-
 def parallel_map(
-    fn: Callable[..., _R],
+    fn: Callable[[_T], _R],
     items: Sequence[_T],
     jobs: Optional[int] = None,
     retries: int = 2,
     retry_backoff_s: float = 0.05,
-    shared: Optional[Mapping[str, np.ndarray]] = None,
 ) -> List[_R]:
     """Apply ``fn`` to every item, optionally across worker processes.
 
     With ``resolve_jobs(jobs) == 1`` this is a plain in-process loop --
     byte-identical behaviour to the historical serial sweeps, ambient
-    recorder included.  Otherwise items are submitted to a (reused,
-    see :func:`persistent_pool_enabled`) process pool and the results
-    are collected in submission order.
-
-    ``shared`` maps names to numpy arrays published once per call via
-    shared memory; ``fn`` is then called as ``fn(item, arrays)`` where
-    ``arrays`` holds read-only views -- the originals in the serial
-    path, zero-copy shared-memory attachments in workers.  Without
-    ``shared``, ``fn`` is called as ``fn(item)`` exactly as before.
+    recorder included.  Otherwise items are submitted to the cached
+    process pool (see :func:`shutdown_pools`) and the results are
+    collected in submission order.
 
     A worker *exception* fails the sweep immediately (the task itself is
     broken; re-running it would raise again).  A worker *death* breaks
@@ -216,100 +164,80 @@ def parallel_map(
     report = rec.events.enabled or rec.runs.enabled
     total = len(items)
     if worker_count == 1 or total <= 1:
-        frozen = None
-        if shared is not None:
-            frozen = {}
-            for name, array in shared.items():
-                view = np.asarray(array).view()
-                view.setflags(write=False)
-                frozen[name] = view
         results = []
         for index, item in enumerate(items):
-            results.append(fn(item) if frozen is None else fn(item, frozen))
+            results.append(fn(item))
             if report:
                 rec.emit("analysis.progress", completed=index + 1, total=total)
         return results
 
-    bundle: Optional[SharedArrayBundle] = None
-    try:
-        if shared is not None:
-            bundle = SharedArrayBundle(shared)
-
-        def submit(pool: ProcessPoolExecutor, item: _T):
-            if bundle is None:
-                return pool.submit(fn, item)
-            return pool.submit(_shared_call, fn, bundle.manifest, item)
-
-        done: Dict[int, _R] = {}
-        attempts = [0] * total
-        pending = list(range(total))
-        while pending:
-            lost: List[int] = []
-            pool_error: Optional[BaseException] = None
-            pool = _acquire_pool(worker_count)
-            pool_broken = False
+    done: Dict[int, _R] = {}
+    attempts = [0] * total
+    pending = list(range(total))
+    while pending:
+        lost: List[int] = []
+        pool_error: Optional[BaseException] = None
+        pool = _acquire_pool(worker_count)
+        pool_broken = False
+        try:
             try:
+                futures = {
+                    index: pool.submit(fn, items[index]) for index in pending
+                }
+            except BrokenExecutor as exc:
+                # Pool died mid-submission: this round is lost.
+                pool_error, futures = exc, {}
+                pool_broken = True
+                lost.extend(pending)
+            for index, future in futures.items():
                 try:
-                    futures = {
-                        index: submit(pool, items[index]) for index in pending
-                    }
+                    done[index] = future.result()
+                    if report:
+                        rec.emit(
+                            "analysis.progress",
+                            completed=len(done),
+                            total=total,
+                        )
                 except BrokenExecutor as exc:
-                    # Pool died mid-submission: this round is lost.
-                    pool_error, futures = exc, {}
+                    pool_error = exc
                     pool_broken = True
-                    lost.extend(pending)
-                for index, future in futures.items():
-                    try:
-                        done[index] = future.result()
-                        if report:
-                            rec.emit(
-                                "analysis.progress",
-                                completed=len(done),
-                                total=total,
-                            )
-                    except BrokenExecutor as exc:
-                        pool_error = exc
-                        pool_broken = True
-                        lost.append(index)
-                    except BaseException as exc:
-                        for pending_future in futures.values():
-                            pending_future.cancel()
-                        raise ParallelExecutionError(
-                            f"parallel sweep worker failed: {exc!r}"
-                        ) from exc
-            finally:
-                if pool_broken or not persistent_pool_enabled():
-                    _discard_pool(pool)
-            if not lost:
-                break
-            # Worker death: the pool was discarded, but the completed
-            # results are intact.  Resubmit only the lost tasks.
-            for index in lost:
-                attempts[index] += 1
-            exhausted = [index for index in lost if attempts[index] > retries]
-            if exhausted:
-                raise ParallelExecutionError(
-                    f"parallel sweep lost task(s) {exhausted} to worker death "
-                    f"after {retries} retr{'y' if retries == 1 else 'ies'}: "
-                    f"{pool_error!r}"
-                ) from pool_error
-            delay = retry_backoff_s * (
-                2.0 ** (max(attempts[index] for index in lost) - 1)
+                    lost.append(index)
+                except BaseException as exc:
+                    for pending_future in futures.values():
+                        pending_future.cancel()
+                    raise ParallelExecutionError(
+                        f"parallel sweep worker failed: {exc!r}"
+                    ) from exc
+        finally:
+            if pool_broken:
+                _discard_pool(pool)
+        if not lost:
+            break
+        # Worker death: the pool was discarded, but the completed
+        # results are intact.  Resubmit only the lost tasks.
+        for index in lost:
+            attempts[index] += 1
+        exhausted = [index for index in lost if attempts[index] > retries]
+        if exhausted:
+            raise ParallelExecutionError(
+                f"parallel sweep lost task(s) {exhausted} to worker death "
+                f"after {retries} retr{'y' if retries == 1 else 'ies'}: "
+                f"{pool_error!r}"
+            ) from pool_error
+        delay = retry_backoff_s * (
+            2.0 ** (max(attempts[index] for index in lost) - 1)
+        )
+        if rec.enabled:
+            rec.emit(
+                "analysis.retry",
+                tasks=sorted(lost),
+                attempts=[attempts[index] for index in sorted(lost)],
+                backoff_s=delay,
+                reason=repr(pool_error),
             )
-            if rec.enabled:
-                rec.emit(
-                    "analysis.retry",
-                    tasks=sorted(lost),
-                    attempts=[attempts[index] for index in sorted(lost)],
-                    backoff_s=delay,
-                    reason=repr(pool_error),
-                )
-            if rec.metrics.enabled:
-                rec.metrics.counter("analysis.retries").inc(len(lost))
-            if delay > 0:
-                time.sleep(delay)
-            pending = sorted(lost)
-        return [done[index] for index in range(total)]
-    finally:
-        if bundle is not None:
-            bundle.close()
+        if rec.metrics.enabled:
+            rec.metrics.counter("analysis.retries").inc(len(lost))
+        if delay > 0:
+            time.sleep(delay)
+        pending = sorted(lost)
+    return [done[index] for index in range(total)]

@@ -271,23 +271,6 @@ class InterferenceGraph:
             ).view(np.uint64)
         return self._packed
 
-    def edge_arrays(self):
-        """Edges as parallel arrays ``(u, v)`` with ``u < v``, lexsorted.
-
-        The inverse of :meth:`from_edge_arrays`: a compact, picklable and
-        shareable description of the graph used to ship interference
-        structure across process boundaries (shared-memory sweeps)
-        without serialising per-node Python sets.
-        """
-        import numpy as np
-
-        indptr, indices = self.neighbor_csr()
-        src = np.repeat(
-            np.arange(self._num_buyers, dtype=np.int32), np.diff(indptr)
-        )
-        upper = src < indices
-        return src[upper], indices[upper].copy()
-
     # ------------------------------------------------------------------
     # Coalition-level queries
     # ------------------------------------------------------------------

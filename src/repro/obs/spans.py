@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
-__all__ = ["SpanRecord", "SpanTracer", "NullSpanTracer"]
+__all__ = ["SpanRecord", "SpanTracer", "NullSpanTracer", "self_times"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,24 @@ class SpanRecord:
     wall_s: float
     cpu_s: float
     start_s: float = 0.0
+
+
+def self_times(parents: Sequence[int], walls: Sequence[float]) -> List[float]:
+    """Self time of every span: its wall minus its direct children's.
+
+    ``parents[i]`` is span ``i``'s parent position (``-1`` for roots)
+    and ``walls[i]`` its wall seconds.  Only *direct* children are
+    subtracted, because a child's wall already covers its own
+    descendants.  The result is floored at 0: clock granularity can make
+    children measure longer than their parent.  This is the one
+    self-time rule behind the span tree summary, the profile span table
+    and the collapsed-stack export.
+    """
+    child_wall = [0.0] * len(walls)
+    for parent, wall in zip(parents, walls):
+        if 0 <= parent < len(child_wall):
+            child_wall[parent] += wall
+    return [max(wall - child, 0.0) for wall, child in zip(walls, child_wall)]
 
 
 class _ActiveSpan:

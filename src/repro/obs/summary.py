@@ -11,6 +11,7 @@ from typing import List
 
 from repro.obs.metrics import snapshot_quantile
 from repro.obs.recorder import Recorder
+from repro.obs.spans import self_times
 
 __all__ = ["format_metrics_summary", "format_span_tree"]
 
@@ -96,46 +97,42 @@ def format_span_tree(
         return ""
 
     # Children finish before parents, so rebuild the tree from the
-    # parent indices, then aggregate sibling spans sharing a name.
+    # parent indices.  Siblings sharing a name roll up into one group,
+    # and the children of *every* record in a group are pooled before
+    # they are grouped in turn, so a span repeated under a repeated
+    # parent still renders as one line.
+    self_s_of = self_times(
+        [record.parent for record in records],
+        [record.wall_s for record in records],
+    )
     children: dict = {}
-    child_wall: dict = {}
     for record in records:
         children.setdefault(record.parent, []).append(record)
-        if record.parent >= 0:
-            child_wall[record.parent] = (
-                child_wall.get(record.parent, 0.0) + record.wall_s
-            )
 
     lines: List[str] = []
 
-    def render(parent_index: int, indent: int) -> None:
+    def render(parent_indices: List[int], indent: int) -> None:
         grouped: dict = {}
-        for record in children.get(parent_index, []):
-            grouped.setdefault(record.name, []).append(record)
-        groups = list(grouped.items())
+        for parent_index in parent_indices:
+            for record in children.get(parent_index, []):
+                grouped.setdefault(record.name, []).append(record)
+        groups = [
+            (name, group, sum(self_s_of[r.index] for r in group))
+            for name, group in grouped.items()
+        ]
         if sort == "self":
-            groups.sort(
-                key=lambda item: -sum(
-                    max(r.wall_s - child_wall.get(r.index, 0.0), 0.0)
-                    for r in item[1]
-                )
-            )
-        for name, group in groups:
+            groups.sort(key=lambda item: -item[2])
+        for name, group, self_s in groups:
             wall = sum(r.wall_s for r in group)
             cpu = sum(r.cpu_s for r in group)
-            self_s = sum(
-                max(r.wall_s - child_wall.get(r.index, 0.0), 0.0)
-                for r in group
-            )
             count = f" x{len(group)}" if len(group) > 1 else ""
             lines.append(
                 f"{'  ' * (indent + 1)}{name}{count}  "
                 f"{wall:.6f}s / {cpu:.6f}s / {self_s:.6f}s"
             )
-            for record in group:
-                render(record.index, indent + 1)
+            render([record.index for record in group], indent + 1)
 
-    render(-1, 0)
+    render([-1], 0)
     if len(lines) > max_lines:
         dropped = len(lines) - max_lines
         lines = lines[:max_lines] + [f"  ... ({dropped} more span lines)"]

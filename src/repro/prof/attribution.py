@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Sequence
 
+from repro.obs.spans import self_times
+
 __all__ = ["span_table", "function_table", "alloc_table"]
 
 
@@ -23,14 +25,12 @@ def span_table(records: Sequence[Any]) -> List[Dict[str, Any]]:
     so the dominant leaf phase is visible without any export.  Rows are
     sorted by descending self time, ties by name.
     """
-    child_wall: Dict[int, float] = {}
-    for record in records:
-        if record.parent >= 0:
-            child_wall[record.parent] = (
-                child_wall.get(record.parent, 0.0) + record.wall_s
-            )
+    self_s_of = self_times(
+        [record.parent for record in records],
+        [record.wall_s for record in records],
+    )
     rows: Dict[str, Dict[str, Any]] = {}
-    for record in records:
+    for record, self_s in zip(records, self_s_of):
         row = rows.setdefault(
             record.name,
             {"name": record.name, "count": 0, "wall_s": 0.0,
@@ -39,9 +39,7 @@ def span_table(records: Sequence[Any]) -> List[Dict[str, Any]]:
         row["count"] += 1
         row["wall_s"] += record.wall_s
         row["cpu_s"] += record.cpu_s
-        row["self_s"] += max(
-            record.wall_s - child_wall.get(record.index, 0.0), 0.0
-        )
+        row["self_s"] += self_s
     return sorted(rows.values(), key=lambda r: (-r["self_s"], r["name"]))
 
 

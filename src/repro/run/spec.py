@@ -507,7 +507,6 @@ class ParallelSpec:
     """Worker-pool sizing for figure sweeps (``jobs=0`` = all cores)."""
 
     jobs: Optional[int] = None
-    shm: bool = True
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)

@@ -27,6 +27,7 @@ import re
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ObservabilityError
+from repro.obs.spans import self_times
 
 __all__ = [
     "to_chrome_trace",
@@ -399,15 +400,14 @@ def to_collapsed(events: List[Dict[str, Any]]) -> str:
     are dropped; output is sorted, so two identical traces collapse to
     identical bytes.
     """
-    spans, children = _span_tree(events)
+    spans, _ = _span_tree(events)
+    self_s_of = self_times(
+        [int(span.get("parent", -1)) for span in spans],
+        [float(span.get("wall_s", 0.0)) for span in spans],
+    )
     stacks: Dict[str, int] = {}
-    for index, span in enumerate(spans):
-        wall = float(span.get("wall_s", 0.0))
-        child_wall = sum(
-            float(spans[c].get("wall_s", 0.0))
-            for c in children.get(index, ())
-        )
-        self_us = int(round(max(wall - child_wall, 0.0) * 1e6))
+    for index, self_s in enumerate(self_s_of):
+        self_us = int(round(self_s * 1e6))
         if self_us <= 0:
             continue
         frames = []

@@ -8,7 +8,6 @@ from repro.analysis.experiments import (
     SweepAxis,
     optimal_comparison_series,
     solver_grid_series,
-    stage1_variant_series,
     stage_breakdown_series,
 )
 from repro.analysis.metrics import evaluate_matching
@@ -215,47 +214,3 @@ class TestSolverGrid:
         assert rows[0].series["welfare_two_stage"].mean == pytest.approx(
             direct.social_welfare
         )
-
-
-class TestStageOneVariants:
-    """The shared-memory variant sweep: correctness and parity."""
-
-    @pytest.fixture(scope="class")
-    def market(self):
-        import numpy as np
-
-        from repro.workloads.scenarios import paper_simulation_market
-
-        return paper_simulation_market(40, 4, np.random.default_rng([8, 40]))
-
-    def test_row_structure(self, market):
-        rows = stage1_variant_series(market)
-        assert len(rows) == 4  # 2 algorithms x 2 guard settings
-        assert [(r["algorithm"], r["monotone_guard"]) for r in rows] == [
-            ("gwmin", True),
-            ("gwmin", False),
-            ("gwmin2", True),
-            ("gwmin2", False),
-        ]
-        for row in rows:
-            assert row["welfare"] > 0.0
-            assert row["matched"] <= market.num_buyers
-
-    def test_serial_equals_parallel(self, market):
-        serial = stage1_variant_series(market)
-        spread = stage1_variant_series(market, jobs=2)
-        assert serial == spread
-
-    def test_variant_matches_direct_stage1(self, market):
-        from repro.core.deferred_acceptance import deferred_acceptance
-
-        rows = stage1_variant_series(market, algorithms=["gwmin"], guards=[True])
-        direct = deferred_acceptance(market, record_trace=False)
-        assert rows[0]["welfare"] == direct.matching.social_welfare(
-            market.utilities
-        )
-        assert rows[0]["rounds"] == direct.num_rounds
-
-    def test_needs_at_least_one_variant(self, market):
-        with pytest.raises(SpectrumMatchingError):
-            stage1_variant_series(market, algorithms=[])

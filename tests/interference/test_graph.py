@@ -80,8 +80,6 @@ class TestInterferenceGraphConstruction:
             np.testing.assert_array_equal(
                 graph.packed_rows(), reference.packed_rows()
             )
-            for got, want in zip(graph.edge_arrays(), reference.edge_arrays()):
-                np.testing.assert_array_equal(got, want)
 
 
 class TestInterferenceQueries:

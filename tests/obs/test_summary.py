@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import MetricsRegistry, Recorder
-from repro.obs.spans import SpanTracer
+from repro.obs.spans import SpanRecord, SpanTracer
 from repro.obs.summary import format_metrics_summary, format_span_tree
 
 
@@ -39,6 +39,65 @@ class TestFormatSpanTree:
     def test_repeated_spans_roll_up_with_count(self):
         tree = format_span_tree(_recorder_with_spans())
         assert "leaf x2" in tree
+
+    def test_children_of_repeated_parents_roll_up(self):
+        recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
+        for _ in range(3):
+            with recorder.span("round"):
+                with recorder.span("mwis"):
+                    pass
+                with recorder.span("mwis"):
+                    pass
+        lines = format_span_tree(recorder).splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["round", "x3"],
+            ["mwis", "x6"],
+        ]
+
+    def test_grandchildren_of_repeated_parents_roll_up(self):
+        recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
+        for _ in range(2):
+            with recorder.span("round"):
+                for _ in range(2):
+                    with recorder.span("stage"):
+                        for _ in range(2):
+                            with recorder.span("mwis"):
+                                pass
+        lines = format_span_tree(recorder).splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["round", "x2"],
+            ["stage", "x4"],
+            ["mwis", "x8"],
+        ]
+
+    def test_same_name_under_different_parents_stays_apart(self):
+        recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
+        for parent in ("round", "final", "round"):
+            with recorder.span(parent):
+                with recorder.span("mwis"):
+                    pass
+        lines = format_span_tree(recorder).splitlines()
+        assert [line.rsplit("  ", 1)[0] for line in lines] == [
+            "  round x2",
+            "    mwis x2",
+            "  final",
+            "    mwis",
+        ]
+
+    def test_rolled_up_line_sums_every_instance(self):
+        tracer = SpanTracer()
+        tracer.records = [
+            SpanRecord("mwis", 0, 2, 1, wall_s=1.0, cpu_s=0.5),
+            SpanRecord("mwis", 1, 2, 1, wall_s=2.0, cpu_s=0.5),
+            SpanRecord("round", 2, -1, 0, wall_s=4.0, cpu_s=1.0),
+            SpanRecord("mwis", 3, 4, 1, wall_s=3.0, cpu_s=0.5),
+            SpanRecord("round", 4, -1, 0, wall_s=5.0, cpu_s=1.0),
+        ]
+        recorder = Recorder(metrics=MetricsRegistry(), spans=tracer)
+        assert format_span_tree(recorder).splitlines() == [
+            "  round x2  9.000000s / 2.000000s / 3.000000s",
+            "    mwis x3  6.000000s / 1.500000s / 6.000000s",
+        ]
 
     def test_root_self_time_excludes_children(self):
         recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())

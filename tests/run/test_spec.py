@@ -163,6 +163,10 @@ class TestRejection:
         payload["telemetry"]["verbose"] = True
         with pytest.raises(SpecError, match="telemetry.*'verbose'"):
             RunSpec.from_dict(payload)
+        payload = RunSpec(command="toy").to_dict()
+        payload["parallel"]["shm"] = True
+        with pytest.raises(SpecError, match="parallel.*'shm'"):
+            RunSpec.from_dict(payload)
 
     def test_error_lists_known_fields(self):
         payload = RunSpec(command="toy").to_dict()
