@@ -284,6 +284,21 @@ class BuyerAgent(Agent):
         self._outstanding_application = channel
         ctx.send(seller_agent_id(channel), TransferApply(self.agent_id, self.buyer))
 
+    def next_wake(self, now: int) -> Optional[int]:
+        """Only a matched Stage-I buyer acts without a message.
+
+        She re-evaluates her transition rule: the default deadline ``MN``
+        is the only input that changes with time alone, except under rule
+        II, whose eviction risk depends on the slot and is checked every
+        slot.  Every other state waits on a reply, eviction, offer or
+        invitation.
+        """
+        if self.stage != 1 or self.current_channel is None:
+            return None
+        if self._policy.buyer_rule is BuyerTransitionRule.EVICTION_PROBABILITY:
+            return now + 1
+        return self._default_slot
+
     def is_done(self) -> bool:
         return (
             self.stage == 2

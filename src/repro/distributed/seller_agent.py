@@ -337,14 +337,12 @@ class SellerAgent(Agent):
 
         if self._outstanding_invite is not None:
             return
+        # Invite in descending price order, ties to the lower id.
+        self._invitation_list.sort(key=lambda j: (-float(self._prices[j]), j))
         while self._invitation_list:
             # Screen lazily at invitation time (equivalent to Algorithm 2's
             # upfront screen, but robust to coalition changes in between).
-            best = max(
-                self._invitation_list,
-                key=lambda j: (float(self._prices[j]), -j),
-            )
-            self._invitation_list.remove(best)
+            best = self._invitation_list.pop(0)
             if best in self.waitlist:
                 continue
             if self._graph.conflicts_with_set(best, self.waitlist):
@@ -352,6 +350,34 @@ class SellerAgent(Agent):
             self._outstanding_invite = best
             ctx.send(buyer_agent_id(best), Invite(self.agent_id, self.channel))
             return
+
+    def next_wake(self, now: int) -> Optional[int]:
+        """The seller's deadlines: her stage transition and Phase-1 end.
+
+        Stage I waits for the default slot ``MN``, or re-checks the
+        ``Q^k`` rule every slot while applications are queued (its risk
+        depends on the slot).  Phase 1 waits on confirms while offers are
+        outstanding; applications queued in Stage I are decided the slot
+        after the transition (``step`` runs Phase 1 only from the next
+        slot on); otherwise she moves to Phase 2 at the horizon.  Phase 2
+        only reacts to replies and late applications.
+        """
+        if self.phase == _STAGE1:
+            if (
+                self._pending_applications
+                and self._policy.seller_rule
+                is SellerTransitionRule.BETTER_PROPOSAL_PROBABILITY
+            ):
+                return now + 1
+            return self._default_slot
+        if self.phase == _PHASE1:
+            if self._outstanding_offers:
+                return None
+            if self._pending_applications:
+                return now + 1
+            assert self._transition_slot is not None
+            return self._transition_slot + self._phase1_duration
+        return None
 
     def is_done(self) -> bool:
         """Quiescent: no obligation that could still change the matching.

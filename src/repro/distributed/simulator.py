@@ -4,15 +4,21 @@ The paper's implementation model (Section IV) is a synchronous,
 slot-structured network: "assume that each round in the proposed algorithm
 takes one time slot".  The kernel here makes that executable:
 
-* Agents are stepped once per slot in deterministic ``(priority, agent_id)``
-  order.  Buyer agents use a lower priority number than seller agents, so
-  within a single slot buyers act first and sellers react to the same
+* Slots run one after another, and within a slot the kernel steps the
+  *awake* agents in deterministic ``(priority, agent_id)`` order.  An
+  agent is awake when a message is due for it or when the slot it
+  declared through :meth:`Agent.next_wake` has come; every agent is awake
+  at slot 0.  Buyer agents use a lower priority number than seller agents,
+  so within a single slot buyers act first and sellers react to the same
   slot's proposals -- exactly the paper's one-round-per-slot accounting.
+  A slot costs O(1) plus its awake agents, so a run costs
+  O(slots + executed steps) rather than O(slots x agents).
 * Messages travel through a pluggable :class:`~repro.distributed.network.
   Network` which assigns each message a delivery slot (and may drop it).
   A message delivered "at slot t" is visible to its recipient when the
-  recipient is stepped in slot t; messages that arrive after the recipient
-  was already stepped this slot are seen next slot.
+  recipient is stepped in slot t (it wakes a sleeping recipient);
+  messages sent in slot t to an agent at or before the sender in the
+  stepping order are seen next slot.
 * The simulation terminates when every agent reports ``is_done()`` and no
   message is in flight, or when ``max_slots`` is hit (which raises --
   a protocol that fails to quiesce is a bug, not a result -- unless the
@@ -51,10 +57,12 @@ __all__ = ["Agent", "SlotContext", "TimeSlottedSimulator"]
 class Agent:
     """Base class for simulation agents.
 
-    Subclasses implement :meth:`step` (called once per slot with the
-    drained inbox) and :meth:`is_done` (quiescence flag used for
-    termination detection).  Agents that should survive crash/restart
-    faults additionally implement :meth:`snapshot` / :meth:`restore`.
+    Subclasses implement :meth:`step` (called with the drained inbox in
+    every slot the agent is awake) and :meth:`is_done` (quiescence flag
+    used for termination detection).  Agents that act on their own
+    deadlines rather than every slot override :meth:`next_wake`.  Agents
+    that should survive crash/restart faults additionally implement
+    :meth:`snapshot` / :meth:`restore`.
 
     Attributes
     ----------
@@ -75,6 +83,19 @@ class Agent:
     def is_done(self) -> bool:
         """Return ``True`` when the agent has nothing left to do."""
         raise NotImplementedError
+
+    def next_wake(self, now: int) -> Optional[int]:
+        """The slot at which to step this agent again without a message.
+
+        The kernel calls this after every step (``now`` is the slot just
+        stepped) and steps the agent again at the returned slot, or
+        earlier if a message is due for it; ``None`` means only a message
+        can make it act.  Contract: stepping the agent with an empty inbox
+        before its wake slot must be a no-op -- it sends nothing and
+        leaves :meth:`snapshot` unchanged -- so skipping such steps cannot
+        change a run.  The default, ``now + 1``, polls every slot.
+        """
+        return now + 1
 
     def snapshot(self) -> Any:
         """Return an opaque checkpoint of all mutable local state.
@@ -292,6 +313,10 @@ class TimeSlottedSimulator:
         self._order = sorted(
             self._agents.values(), key=lambda a: (a.priority, a.agent_id)
         )
+        #: agent id -> position in the stepping order.
+        self._index: Dict[str, int] = {
+            agent.agent_id: index for index, agent in enumerate(self._order)
+        }
         if fault_schedule is not None and fault_schedule.empty:
             fault_schedule = None
         self._schedule = fault_schedule
@@ -311,9 +336,18 @@ class TimeSlottedSimulator:
         self._queue: List[_QueuedMessage] = []
         self._sequence = 0
         self._now = 0
-        self._stepped_this_slot: set = set()
         #: Due messages bucketed per destination for the current slot.
         self._slot_inboxes: Dict[str, List[Message]] = {}
+        # Wake bookkeeping, by position in the stepping order.  A timer
+        # entry ``(slot, index)`` is live only while ``_wake_at[index] ==
+        # slot``; superseded entries stay in the heap until they surface.
+        self._wake_at: List[Optional[int]] = []
+        self._timers: List[Tuple[int, int]] = []
+        #: Positions to step in the current slot (min-heap; may repeat).
+        self._awake: List[int] = []
+        #: Position of the agent being stepped (-1 between slots).
+        self._cursor = -1
+        self._wake_all()
         self._messages_sent = 0
         self._messages_delivered = 0
         self._messages_dropped = 0
@@ -429,7 +463,8 @@ class TimeSlottedSimulator:
         )
 
     def _enqueue(self, destination: str, message: Message) -> Optional[int]:
-        if destination not in self._agents:
+        index = self._index.get(destination)
+        if index is None:
             raise SimulationError(
                 f"message to unknown agent {destination!r}: {message!r}"
             )
@@ -491,17 +526,15 @@ class TimeSlottedSimulator:
                 f"network produced delivery slot {delivery_slot} in the past "
                 f"(now={self._now})"
             )
-        # A message "delivered" in the current slot to an agent that has
-        # already been stepped is effectively a next-slot delivery.
-        if delivery_slot == self._now and destination in self._stepped_this_slot:
-            delivery_slot += 1
         if delivery_slot == self._now:
-            # Same-slot delivery to a not-yet-stepped agent: straight into
-            # its per-slot bucket (sequence order == append order).
-            self._slot_inboxes.setdefault(destination, []).append(message)
-            if tracker is not None:
-                tracker.inbox_ids.setdefault(destination, []).append(msg_id)
-            return msg_id if tracker is not None else None
+            if index > self._cursor:
+                # Same-slot delivery to an agent later in the stepping
+                # order: straight into its bucket, waking it this slot.
+                self._deliver_now(index, destination, message, msg_id)
+                return msg_id if tracker is not None else None
+            # The stepping order has already passed the recipient (awake
+            # or not): a current-slot delivery is seen next slot.
+            delivery_slot += 1
         heapq.heappush(
             self._queue,
             _QueuedMessage(
@@ -511,16 +544,33 @@ class TimeSlottedSimulator:
         self._sequence += 1
         return msg_id if tracker is not None else None
 
+    def _deliver_now(
+        self, index: int, destination: str, message: Message, msg_id: int
+    ) -> None:
+        """Append a current-slot delivery to its recipient's bucket.
+
+        The bucket's creation wakes the recipient, so an agent is pushed
+        onto the awake heap once per slot however many messages it gets.
+        """
+        bucket = self._slot_inboxes.get(destination)
+        if bucket is None:
+            self._slot_inboxes[destination] = [message]
+            heapq.heappush(self._awake, index)
+        else:
+            bucket.append(message)
+        tracker = self._causal
+        if tracker is not None:
+            tracker.inbox_ids.setdefault(destination, []).append(msg_id)
+
     def _bucket_due_messages(self) -> None:
         """Move every due message into its destination's slot bucket.
 
-        One heap scan per slot instead of one per (agent, slot): the old
-        per-agent drain re-popped and re-pushed the whole due prefix for
-        every agent, costing O(agents x queue log queue) per slot.  Heap
-        order is (delivery_slot, send sequence), so per-destination append
-        order is exactly the old drain order.
+        One heap scan per slot.  Heap order is (delivery_slot, send
+        sequence), so each destination's bucket fills in exactly that
+        order, ahead of any same-slot sends appended while stepping.
         """
         tracker = self._causal
+        index_of = self._index
         while self._queue and self._queue[0].delivery_slot <= self._now:
             item = heapq.heappop(self._queue)
             if item.destination in self._crashed:
@@ -528,13 +578,34 @@ class TimeSlottedSimulator:
                 if tracker is not None:
                     self._emit_msg_dropped(item.msg_id, "crashed_destination")
                 continue
-            self._slot_inboxes.setdefault(item.destination, []).append(
-                item.message
+            self._deliver_now(
+                index_of[item.destination],
+                item.destination,
+                item.message,
+                item.msg_id,
             )
-            if tracker is not None:
-                tracker.inbox_ids.setdefault(item.destination, []).append(
-                    item.msg_id
-                )
+
+    def _wake_all(self) -> None:
+        """Arm every agent for the current slot (run start and resume)."""
+        count = len(self._order)
+        self._wake_at = [self._now] * count
+        self._timers = [(self._now, index) for index in range(count)]
+
+    def _arm(self, index: int, slot: int) -> None:
+        """Set agent ``index``'s timer to ``slot``, superseding any other."""
+        if self._wake_at[index] != slot:
+            self._wake_at[index] = slot
+            heapq.heappush(self._timers, (slot, index))
+
+    def _fire_timers(self) -> None:
+        """Wake every agent whose live timer is due this slot."""
+        timers = self._timers
+        wake_at = self._wake_at
+        while timers and timers[0][0] <= self._now:
+            slot, index = heapq.heappop(timers)
+            if wake_at[index] == slot:
+                wake_at[index] = None
+                heapq.heappush(self._awake, index)
 
     def _drain_inbox(self, agent_id: str) -> List[Message]:
         inbox = self._slot_inboxes.pop(agent_id, [])
@@ -613,6 +684,7 @@ class TimeSlottedSimulator:
             else:
                 state = self._pristine[agent_id]
             self._agents[agent_id].restore(state)
+            self._arm(self._index[agent_id], self._now)
             down = self._now - self._crash_slot[agent_id]
             self._recovery_slots.append(down)
             self._restart_count += 1
@@ -643,73 +715,85 @@ class TimeSlottedSimulator:
                 )
 
     def run_slot(self) -> None:
-        """Execute one time slot (all agents, in scheduling order)."""
+        """Execute one time slot: step the awake agents in scheduling order.
+
+        When the recorder is live the slot also records each executed
+        step's latency into a histogram, its message deltas and in-flight
+        queue depth into the metrics registry, and one ``sim.slot`` event.
+        """
         if self._finished:
             raise SimulationError("simulation already finished")
-        self._stepped_this_slot = set()
         if self._schedule is not None:
             self._apply_faults()
         self._bucket_due_messages()
+        self._fire_timers()
+        now = self._now
         ctx = SlotContext(
-            now=self._now,
+            now=now,
             rng=self._rng,
             _send=self._enqueue,
             _causal=self._causal,
         )
-        if self._observing:
-            self._run_slot_observed(ctx)
-        else:
-            crashed = self._crashed
-            for agent in self._order:
-                if agent.agent_id in crashed:
-                    continue
-                self._stepped_this_slot.add(agent.agent_id)
-                agent.step(self._drain_inbox(agent.agent_id), ctx)
-        self._now += 1
-
-    def _run_slot_observed(self, ctx: SlotContext) -> None:
-        """The observed twin of :meth:`run_slot`'s agent loop.
-
-        Identical stepping semantics, plus: per-agent step latency into a
-        histogram, per-slot message deltas and in-flight queue depth into
-        the metrics registry, and one ``sim.slot`` event per slot.
-        """
-        rec = self._obs
-        metrics = rec.metrics
-        step_hist = metrics.histogram("sim.agent_step_s")
-        sent0 = self._messages_sent
-        delivered0 = self._messages_delivered
-        dropped0 = self._messages_dropped
+        observing = self._observing
+        if observing:
+            rec = self._obs
+            metrics = rec.metrics
+            step_hist = metrics.histogram("sim.agent_step_s")
+            sent0 = self._messages_sent
+            delivered0 = self._messages_delivered
+            dropped0 = self._messages_dropped
+        awake = self._awake
+        order = self._order
         crashed = self._crashed
-        for agent in self._order:
+        while awake:
+            index = heapq.heappop(awake)
+            if index <= self._cursor:
+                continue  # woken twice this slot
+            self._cursor = index
+            agent = order[index]
             if agent.agent_id in crashed:
                 continue
-            self._stepped_this_slot.add(agent.agent_id)
             inbox = self._drain_inbox(agent.agent_id)
-            started = time.perf_counter()
-            agent.step(inbox, ctx)
-            step_hist.observe(time.perf_counter() - started)
-        inflight = len(self._queue)
-        sent = self._messages_sent - sent0
-        delivered = self._messages_delivered - delivered0
-        dropped = self._messages_dropped - dropped0
-        metrics.counter("sim.slots").inc()
-        metrics.counter("sim.messages_sent").inc(sent)
-        metrics.counter("sim.messages_delivered").inc(delivered)
-        metrics.counter("sim.messages_dropped").inc(dropped)
-        metrics.gauge("sim.inflight_depth").set(inflight)
-        metrics.histogram("sim.slot_messages").observe(sent)
-        if rec.events.enabled or rec.runs.enabled:
-            rec.forward(
-                {
-                    "event": "sim.slot",
-                    "slot": self._now,
-                    "sent": sent,
-                    "delivered": delivered,
-                    "dropped": dropped,
-                    "inflight": inflight,
-                }
-            )
+            if observing:
+                started = time.perf_counter()
+                agent.step(inbox, ctx)
+                step_hist.observe(time.perf_counter() - started)
+            else:
+                agent.step(inbox, ctx)
+            wake = agent.next_wake(now)
+            if wake is None:
+                self._wake_at[index] = None
+            elif wake > now:
+                self._arm(index, wake)
+            else:
+                raise SimulationError(
+                    f"agent {agent.agent_id!r} asked to wake at slot {wake}, "
+                    f"not after the current slot {now}"
+                )
+        self._cursor = -1
+        if observing:
+            inflight = len(self._queue)
+            sent = self._messages_sent - sent0
+            delivered = self._messages_delivered - delivered0
+            dropped = self._messages_dropped - dropped0
+            metrics.counter("sim.slots").inc()
+            metrics.counter("sim.messages_sent").inc(sent)
+            metrics.counter("sim.messages_delivered").inc(delivered)
+            metrics.counter("sim.messages_dropped").inc(dropped)
+            metrics.gauge("sim.inflight_depth").set(inflight)
+            metrics.histogram("sim.slot_messages").observe(sent)
+            if rec.events.enabled or rec.runs.enabled:
+                rec.forward(
+                    {
+                        "event": "sim.slot",
+                        "slot": now,
+                        "sent": sent,
+                        "delivered": delivered,
+                        "dropped": dropped,
+                        "inflight": inflight,
+                    }
+                )
+        self._now += 1
 
     def is_quiescent(self) -> bool:
         """All agents done and no messages in flight.
@@ -825,7 +909,12 @@ class TimeSlottedSimulator:
         self._slot_inboxes = {
             dst: list(msgs) for dst, msgs in state["slot_inboxes"].items()
         }
-        self._stepped_this_slot = set()
+        # Wake times are not checkpointed: everyone steps at the restored
+        # slot (extra steps are no-ops by the next_wake contract) and
+        # declares its next wake afresh.
+        self._awake = []
+        self._cursor = -1
+        self._wake_all()
         self._messages_sent = int(state["messages_sent"])
         self._messages_delivered = int(state["messages_delivered"])
         self._messages_dropped = int(state["messages_dropped"])

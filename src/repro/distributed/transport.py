@@ -156,6 +156,21 @@ class ReliableAgent(Agent):
                 ctx.set_cause_id(pending.sent_id)
                 ctx.send(pending.destination, pending.frame)
 
+    def next_wake(self, now: int) -> Optional[int]:
+        """The inner agent's wake or the earliest retransmission, if sooner.
+
+        A frame sent at ``last_sent`` is retransmitted at ``last_sent +
+        retransmit_interval``; acks and data frames arrive as messages.
+        """
+        wake = self.inner.next_wake(now)
+        if self._pending:
+            retransmit = (
+                min(pending.last_sent for pending in self._pending)
+                + self._interval
+            )
+            wake = retransmit if wake is None else min(wake, retransmit)
+        return wake
+
     def _accept(self, frame: DataFrame) -> List[Message]:
         """Dedup + reorder; return payloads now deliverable in order."""
         sender = frame.sender

@@ -332,3 +332,30 @@ class TestSellerStageTwo:
             recorder.ctx(default_slot + horizon + 2),
         )
         assert seller.is_done()
+
+    def test_invitations_in_price_order_ties_to_lower_id(self):
+        """Phase 2 invites by descending price, equal prices to the lower
+        id; a duplicate entry is skipped once its buyer has joined."""
+        utilities = np.array([[2.0], [3.0], [3.0], [1.0], [3.0]])
+        market = SpectrumMarket(
+            utilities, interference_map_from_edge_lists(5, [[]])
+        )
+        seller = SellerAgent(0, market, default_policy())
+        state = seller.snapshot()
+        state.update(phase=3, invitation_list=[3, 4, 1, 2, 4, 0])  # Phase 2
+        seller.restore(state)
+        recorder = Recorder()
+        invited: List[int] = []
+        inbox: list = []
+        for slot in range(10):
+            seller.step(inbox, recorder.ctx(slot))
+            invites = recorder.of_type(Invite)
+            if len(invites) == len(invited):
+                break
+            buyer = int(invites[-1][0].split(":")[1])
+            invited.append(buyer)
+            reply = InviteAccept if buyer == 4 else InviteDecline
+            inbox = [reply(buyer_agent_id(buyer), buyer)]
+        assert invited == [1, 2, 4, 0, 3]
+        assert seller.waitlist == {4}
+        assert seller.is_done()

@@ -158,3 +158,199 @@ class TestDelayedDelivery:
             return slots, tuple(counter.replies)
 
         assert run(9) == run(9)
+
+
+class Sleeper(Agent):
+    """Records every step; wakes on its own only at the ``alarms`` slots."""
+
+    def __init__(self, agent_id: str, priority: int = 1, alarms=()) -> None:
+        super().__init__(agent_id, priority=priority)
+        self.alarms = sorted(alarms)
+        self.steps: List[tuple] = []
+
+    def step(self, inbox, ctx):
+        self.steps.append((ctx.now, [message.payload for message in inbox]))
+
+    def next_wake(self, now):
+        return next((slot for slot in self.alarms if slot > now), None)
+
+    def is_done(self):
+        return True
+
+    def snapshot(self):
+        return {"steps": list(self.steps)}
+
+    def restore(self, state):
+        self.steps = list(state["steps"])
+
+
+class Alarm(Agent):
+    """Pings ``target`` at each alarm slot and records the replies.
+
+    Between alarms it sleeps: a step before the next alarm with an empty
+    inbox does nothing, as the ``next_wake`` contract requires.
+    """
+
+    def __init__(self, agent_id: str, target: str, alarms, priority: int):
+        super().__init__(agent_id, priority=priority)
+        self.target = target
+        self.alarms = sorted(alarms)
+        self.replies: List[tuple] = []
+
+    def step(self, inbox, ctx):
+        self.replies.extend((ctx.now, message.payload) for message in inbox)
+        while self.alarms and self.alarms[0] <= ctx.now:
+            ctx.send(self.target, Ping(self.agent_id, self.alarms.pop(0)))
+
+    def next_wake(self, now):
+        return self.alarms[0] if self.alarms else None
+
+    def is_done(self):
+        return not self.alarms
+
+    def snapshot(self):
+        return {"alarms": list(self.alarms), "replies": list(self.replies)}
+
+    def restore(self, state):
+        self.alarms = list(state["alarms"])
+        self.replies = list(state["replies"])
+
+
+def run_slots(sim: TimeSlottedSimulator, count: int) -> None:
+    for _ in range(count):
+        sim.run_slot()
+
+
+class TestWakeSemantics:
+    def test_sleeping_agent_is_stepped_only_on_delivery(self):
+        alarm = Alarm("a", "z", alarms=[2, 5], priority=0)
+        sleeper = Sleeper("z")
+        sim = TimeSlottedSimulator([alarm, sleeper])
+        run_slots(sim, 8)
+        # Everyone is awake at slot 0; afterwards only deliveries wake it.
+        assert sleeper.steps == [(0, []), (2, [2]), (5, [5])]
+
+    def test_timer_fires_at_exactly_its_slot(self):
+        sleeper = Sleeper("z", alarms=[3, 7])
+        sim = TimeSlottedSimulator([sleeper])
+        run_slots(sim, 10)
+        assert sleeper.steps == [(0, []), (3, []), (7, [])]
+
+    def test_same_slot_send_to_later_sleeping_agent_is_handled_that_slot(self):
+        alarm = Alarm("a", "z", alarms=[2], priority=0)
+        sleeper = Sleeper("z", priority=1, alarms=[6])
+        sim = TimeSlottedSimulator([alarm, sleeper])
+        run_slots(sim, 8)
+        # The delivery wakes it at slot 2; its own timer still fires at 6.
+        assert sleeper.steps == [(0, []), (2, [2]), (6, [])]
+
+    def test_send_to_earlier_agent_arrives_next_slot(self):
+        # Same priority, earlier id: "a" precedes "b" in the stepping order.
+        early = Sleeper("a", priority=1)
+        alarm = Alarm("b", "a", alarms=[2], priority=1)
+        sim = TimeSlottedSimulator([early, alarm])
+        run_slots(sim, 5)
+        assert early.steps == [(0, []), (3, [2])]
+
+    def test_self_send_arrives_next_slot(self):
+        class Ticker(Sleeper):
+            def step(self, inbox, ctx):
+                super().step(inbox, ctx)
+                if ctx.now == 0:
+                    ctx.send(self.agent_id, Ping(self.agent_id, 9))
+
+        ticker = Ticker("t")
+        sim = TimeSlottedSimulator([ticker])
+        run_slots(sim, 4)
+        assert ticker.steps == [(0, []), (1, [9])]
+
+    def test_restarted_agent_is_stepped_at_its_restart_slot(self):
+        from repro.distributed.faults import CrashFault, FaultSchedule
+
+        sleeper = Sleeper("z")
+        schedule = FaultSchedule(
+            crashes=[CrashFault("z", crash_slot=2, restart_slot=5)]
+        )
+        sim = TimeSlottedSimulator([sleeper], fault_schedule=schedule)
+        run_slots(sim, 9)
+        assert sleeper.steps == [(0, []), (5, [])]
+
+    def test_wake_slot_must_lie_in_the_future(self):
+        class Stuck(Sleeper):
+            def next_wake(self, now):
+                return now
+
+        sim = TimeSlottedSimulator([Stuck("s")])
+        with pytest.raises(SimulationError, match="wake at slot 0"):
+            sim.run_slot()
+
+
+class Responder(Echo):
+    """An :class:`Echo` that sleeps until a ping arrives."""
+
+    def next_wake(self, now):
+        return None
+
+    def snapshot(self):
+        return {"seen": list(self.seen)}
+
+    def restore(self, state):
+        self.seen = list(state["seen"])
+
+
+class TestRestoreState:
+    @staticmethod
+    def build():
+        agents = [
+            Alarm("a", "e", alarms=[1, 4, 9], priority=0),
+            Responder("e", priority=1),
+            Alarm("b", "e", alarms=[2, 3, 9], priority=2),
+        ]
+        sim = TimeSlottedSimulator(
+            agents, network=DelayedNetwork(0, 2), seed=5, record_events=True
+        )
+        return sim, agents
+
+    @staticmethod
+    def observe(sim, agents):
+        return (
+            sim.now,
+            sim.messages_sent,
+            sim.messages_delivered,
+            sim.events,
+            agents[0].replies,
+            agents[1].seen,
+            agents[2].replies,
+        )
+
+    @pytest.mark.parametrize("interrupt_after", [1, 3, 5, 10])
+    def test_mid_run_restore_reproduces_uninterrupted_run(self, interrupt_after):
+        golden_sim, golden_agents = self.build()
+        golden_sim.run()
+        first_sim, _ = self.build()
+        run_slots(first_sim, interrupt_after)
+        state = first_sim.snapshot_state()
+        resumed_sim, resumed_agents = self.build()
+        resumed_sim.restore_state(state)
+        resumed_sim.run()
+        assert self.observe(resumed_sim, resumed_agents) == self.observe(
+            golden_sim, golden_agents
+        )
+        assert golden_agents[1].seen  # the run did exchange messages
+
+    @pytest.mark.parametrize("interrupt_after", [3, 5])
+    def test_restore_into_a_simulator_that_ran_ahead(self, interrupt_after):
+        """Restoring rewinds the wake bookkeeping too, not only the agents
+        and the message queue: timers armed after the checkpoint must not
+        survive it."""
+        golden_sim, golden_agents = self.build()
+        golden_sim.run()
+        sim, agents = self.build()
+        run_slots(sim, interrupt_after)
+        state = sim.snapshot_state()
+        run_slots(sim, 4)
+        sim.restore_state(state)
+        sim.run()
+        assert self.observe(sim, agents) == self.observe(
+            golden_sim, golden_agents
+        )

@@ -14,7 +14,11 @@ import numpy as np
 import pytest
 
 from repro.core.two_stage import run_two_stage
+from repro.distributed.buyer_agent import BuyerAgent
 from repro.distributed.protocol import run_distributed_matching
+from repro.distributed.seller_agent import SellerAgent
+from repro.distributed.simulator import Agent
+from repro.distributed.transport import ReliableAgent
 from repro.dynamic.generator import DynamicMarketGenerator
 from repro.dynamic.online import OnlineMatcher, RematchStrategy
 from repro.obs import (
@@ -132,7 +136,7 @@ class TestPipelineInstrumentation:
         ]
         assert timer.count == len(mwis_spans) > 0
 
-    def test_simulator_slot_events(self, market_factory):
+    def test_simulator_slot_events(self, market_factory, monkeypatch):
         market = market_factory(num_buyers=10, num_channels=3, seed=1)
         recorder = live_recorder()
         run = run_distributed_matching(market, recorder=recorder)
@@ -146,9 +150,17 @@ class TestPipelineInstrumentation:
         done = recorder.events.of_type("sim.done")
         assert len(done) == 1 and done[0]["slots"] == run.slots
         hist = recorder.metrics.histogram("sim.agent_step_s")
-        assert hist.count == run.slots * (
-            market.num_buyers + market.num_channels
-        )
+        agents = market.num_buyers + market.num_channels
+        # The histogram observes executed steps: the event-driven kernel
+        # skips idle agents, while polling every agent in every slot
+        # (the base ``Agent.next_wake``) executes slots x agents steps.
+        assert 0 < hist.count < run.slots * agents
+        for cls in (BuyerAgent, SellerAgent, ReliableAgent):
+            monkeypatch.setattr(cls, "next_wake", Agent.next_wake)
+        polling = live_recorder()
+        polled = run_distributed_matching(market, recorder=polling)
+        polled_hist = polling.metrics.histogram("sim.agent_step_s")
+        assert polled_hist.count == polled.slots * agents
 
     def test_distributed_lifecycle_events(self, market_factory):
         market = market_factory(num_buyers=8, num_channels=3, seed=3)

@@ -19,7 +19,18 @@ from repro.trace.reader import load_events
 from .conftest import run_cli, sigkill, spawn_cli, wait_for_wal
 
 
-def _chaos_args(run_dir, seed: int):
+#: Lossy network: every agent is wrapped in the ARQ transport.
+ARQ_FAULTS = ("--loss", "0.12", "--crash", "buyer:2@6-12")
+#: No loss: the plain protocol agents cross the kill unwrapped.
+PARTITION_FAULTS = (
+    "--partition",
+    "buyer:0,buyer:1|rest@5-20",
+    "--deadline-slots",
+    "200",
+)
+
+
+def _chaos_args(run_dir, seed: int, faults=ARQ_FAULTS):
     return (
         "chaos",
         "--buyers",
@@ -28,10 +39,7 @@ def _chaos_args(run_dir, seed: int):
         "3",
         "--seed",
         str(seed),
-        "--loss",
-        "0.12",
-        "--crash",
-        "buyer:2@6-12",
+        *faults,
         "--checkpoint-dir",
         str(run_dir),
         "--checkpoint-every",
@@ -39,17 +47,24 @@ def _chaos_args(run_dir, seed: int):
     )
 
 
-@pytest.mark.parametrize("case_seed", [0, 1])
+@pytest.mark.parametrize(
+    "case_seed,faults",
+    [
+        pytest.param(0, ARQ_FAULTS, id="0"),
+        pytest.param(1, ARQ_FAULTS, id="1"),
+        pytest.param(2, PARTITION_FAULTS, id="partition-no-loss"),
+    ],
+)
 def test_sigkill_mid_protocol_then_resume_is_byte_identical(
-    tmp_path, case_seed
+    tmp_path, case_seed, faults
 ):
     kill_after = random.Random(100 + case_seed).randint(8, 25)
     golden = tmp_path / "golden"
     victim = tmp_path / "victim"
-    run_cli(*_chaos_args(golden, seed=3))
+    run_cli(*_chaos_args(golden, seed=3, faults=faults))
 
     proc = spawn_cli(
-        *_chaos_args(victim, seed=3),
+        *_chaos_args(victim, seed=3, faults=faults),
         "--inject-stall-after",
         str(kill_after),
     )
