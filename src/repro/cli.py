@@ -27,8 +27,8 @@ Commands
 ``run``
     Execute a declarative :class:`~repro.run.spec.RunSpec` JSON file --
     the spec any run subcommand prints with ``--dry-run``.  One spec file
-    replaces an arbitrarily flag-heavy invocation and executes through
-    the identical Session path.
+    replaces an arbitrarily flag-heavy invocation; ``profile run SPEC``
+    is ``run`` with a profile section, followed by the top span table.
 ``trace``
     Offline trace analysis: ``summarize`` one JSONL trace, ``diff`` two
     traces to the first behavioural divergence (with its causal message
@@ -42,9 +42,14 @@ and span summary after the command's normal output) and ``--dry-run``
 Observability and Run model sections of ``docs/architecture.md``.
 
 Internally every run subcommand is a thin adapter: parsed flags become a
-:class:`~repro.run.spec.RunSpec` (see :func:`_spec_from_args`) and the
-command bodies consume the spec, so ``repro toy`` and ``repro run
-toy-spec.json`` execute byte-identically.
+:class:`~repro.run.spec.RunSpec` (see :func:`_spec_from_args`), and every
+command runs inside the one :class:`~repro.run.session.RunLifecycle`.  A
+single-run command's body is a presenter: it prints the result of
+:meth:`~repro.run.session.Session.execute`, the dispatch ``Session.run()``
+executes.  The comparisons -- ``distributed`` (centralized reference,
+then each policy), ``chaos`` (fault-free twin, then the faulty run) and
+``report`` -- are composites on the same builders.  So ``repro toy``,
+``repro run toy.json`` and ``repro profile run toy.json`` print the same.
 """
 
 from __future__ import annotations
@@ -52,26 +57,26 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import functools
 import sys
 from typing import Optional, Sequence, Tuple
 
-from repro.analysis.paper_figures import figure_spec, run_figure
+from repro.analysis.paper_figures import figure_spec
 from repro.analysis.reporting import format_experiment_rows, rows_to_csv
 from repro.core.stability import (
     is_nash_stable,
     is_pairwise_stable,
     pairwise_blocking_pairs,
 )
-from repro.obs import format_metrics_summary, get_recorder, use_recorder
+from repro.obs import format_metrics_summary, get_recorder
 from repro.run.session import (
+    RunLifecycle,
+    Session,
     build_market,
-    build_profiler,
+    build_policy,
     build_recorder,
-    build_slo_engine,
     execute_distributed,
-    execute_durable,
     execute_two_stage,
-    start_telemetry_server,
 )
 from repro.run.spec import (
     RUN_COMMANDS,
@@ -85,11 +90,7 @@ from repro.run.spec import (
     TelemetrySpec,
     WorkloadSpec,
 )
-from repro.workloads.scenarios import (
-    counterexample_market,
-    paper_simulation_market,
-    toy_example_market,
-)
+from repro.workloads.scenarios import paper_simulation_market
 
 __all__ = ["main", "build_parser"]
 
@@ -797,48 +798,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Flags consumed by the observability harness itself, excluded from the
 #: manifest's config record of non-spec commands.
-_OBS_FLAGS = (
-    "trace_out",
-    "metrics",
-    "trace_flush_every",
-    "metrics_out",
-    "serve_metrics",
-    "serve_hold",
-    "slo",
-    "slo_policy",
-    "profile_out",
-)
+_OBS_FLAGS = {f.name for f in dataclasses.fields(TelemetrySpec)} | {
+    "profile_out"
+}
 
 
 # ----------------------------------------------------------------------
 # Flags -> RunSpec adapters
 # ----------------------------------------------------------------------
-def _durability_from_args(args: argparse.Namespace) -> DurabilitySpec:
-    return DurabilitySpec(
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        checkpoint_every=int(getattr(args, "checkpoint_every", 10)),
-        inject_stall_after=getattr(args, "inject_stall_after", None),
-    )
-
-
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     """Translate one run subcommand's parsed flags into its RunSpec.
 
     This is the single place where CLI flags meet the declarative run
     model; the command implementations below consume only the spec, so
     ``repro <command> <flags>`` and ``repro run <spec.json>`` execute the
-    identical path.
+    identical path.  The shared flag groups fill their sections here
+    (absent flags give each section's defaults); the command's own flags
+    fill the rest in :func:`_base_spec_from_args`.
     """
-    spec = _base_spec_from_args(args)
-    profile = ProfileSpec.from_args(args)
-    if profile.enabled:
-        spec = dataclasses.replace(spec, profile=profile)
-    return spec
+    return dataclasses.replace(
+        _base_spec_from_args(args),
+        telemetry=TelemetrySpec.from_args(args),
+        profile=ProfileSpec.from_args(args),
+        durability=DurabilitySpec(
+            checkpoint_dir=getattr(args, "checkpoint_dir", None),
+            checkpoint_every=int(getattr(args, "checkpoint_every", 10)),
+            inject_stall_after=getattr(args, "inject_stall_after", None),
+        ),
+    )
 
 
 def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
     command = args.command
-    telemetry = TelemetrySpec.from_args(args)
     if command in ("fig6", "fig7", "fig8"):
         return RunSpec(
             command=command,
@@ -852,21 +843,10 @@ def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
                     "json_out": args.json,
                 },
             ),
-            telemetry=telemetry,
             parallel=ParallelSpec(jobs=args.jobs),
         )
-    if command == "toy":
-        return RunSpec(
-            command="toy",
-            market=MarketSpec(scenario="toy"),
-            telemetry=telemetry,
-        )
-    if command == "counterexample":
-        return RunSpec(
-            command="counterexample",
-            market=MarketSpec(scenario="counterexample"),
-            telemetry=telemetry,
-        )
+    if command in ("toy", "counterexample"):
+        return RunSpec(command=command, market=MarketSpec(scenario=command))
     if command == "distributed":
         return RunSpec(
             command="distributed",
@@ -877,7 +857,6 @@ def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
                 name="distributed", options={"policy": args.policy}
             ),
             faults=FaultSpec(loss=args.loss),
-            telemetry=telemetry,
         )
     if command == "chaos":
         return RunSpec(
@@ -897,8 +876,6 @@ def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
                 deadline_slots=args.deadline_slots,
                 on_timeout=args.on_timeout,
             ),
-            telemetry=telemetry,
-            durability=_durability_from_args(args),
         )
     if command == "swaps":
         return RunSpec(
@@ -912,7 +889,6 @@ def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
                 seed=args.seed,
             ),
             engine=EngineSpec(name="swaps"),
-            telemetry=telemetry,
         )
     if command == "dynamic":
         return RunSpec(
@@ -930,15 +906,9 @@ def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
                 ),
             ),
             engine=EngineSpec(name="dynamic"),
-            telemetry=telemetry,
-            durability=_durability_from_args(args),
         )
     if command == "report":
-        return RunSpec(
-            command="report",
-            market=MarketSpec(seed=args.seed),
-            telemetry=telemetry,
-        )
+        return RunSpec(command="report", market=MarketSpec(seed=args.seed))
     if command == "solve":
         options = dict(args.config)
         if args.check_stability:
@@ -952,25 +922,23 @@ def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
                 seed=args.seed,
             ),
             engine=EngineSpec(name=args.solver, options=options),
-            telemetry=telemetry,
         )
     raise AssertionError(f"no spec mapping for command {command!r}")
 
 
 # ----------------------------------------------------------------------
-# Command implementations (each consumes a RunSpec)
+# Presenters: each prints the result of the dispatch Session.run()
+# executes; the distributed/chaos comparisons and the report are CLI
+# composites on the same builders.  All of them run inside one lifecycle.
 # ----------------------------------------------------------------------
-def _cmd_figure(figure: int, spec: RunSpec) -> int:
+def _cmd_figure(session: Session) -> int:
+    spec = session.spec
+    figure = int(spec.command[3])
     options = spec.engine.options
     panel = options.get("panel", "a")
     repetitions = options.get("repetitions")
     fig_spec = figure_spec(figure, panel)
-    rows = run_figure(
-        fig_spec,
-        repetitions=repetitions,
-        seed=spec.market.seed,
-        jobs=spec.parallel.jobs,
-    )
+    rows = session.execute()
     series = {6: _FIG6_SERIES, 7: _FIG7_SERIES, 8: _FIG8_SERIES}[figure]
     x_label = fig_spec.axis.value
     include_srcc = fig_spec.axis.value == "similarity"
@@ -997,9 +965,10 @@ def _cmd_figure(figure: int, spec: RunSpec) -> int:
     return 0
 
 
-def _emit_market_created(market, scenario: str) -> None:
-    """Emit the ``market.created`` lifecycle event for a CLI-built market."""
-    recorder = get_recorder()
+def _created_market(session: Session, scenario: str):
+    """The session's market, announced with a ``market.created`` event."""
+    market = session.market
+    recorder = session.recorder
     if recorder.enabled:
         recorder.emit(
             "market.created",
@@ -1007,12 +976,18 @@ def _emit_market_created(market, scenario: str) -> None:
             buyers=market.num_buyers,
             channels=market.num_channels,
         )
+    return market
 
 
-def _cmd_toy(spec: RunSpec) -> int:
-    market = build_market(spec.market)
-    _emit_market_created(market, "toy")
-    result = execute_two_stage(market)
+def _set_slo_reference(session: Session, welfare: float) -> None:
+    """The comparison's baseline for the welfare_regression_pct signal."""
+    if session.lifecycle.slo_engine is not None:
+        session.lifecycle.slo_engine.set_reference("welfare", welfare)
+
+
+def _cmd_toy(session: Session) -> int:
+    market = _created_market(session, "toy")
+    result = session.execute()
     print("Paper toy example (5 buyers, sellers a/b/c)")
     print("-- Stage I (adapted deferred acceptance) --")
     for record in result.stage_one.rounds:
@@ -1049,10 +1024,9 @@ def _cmd_toy(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_counterexample(spec: RunSpec) -> int:
-    market = build_market(spec.market)
-    _emit_market_created(market, "counterexample")
-    result = execute_two_stage(market)
+def _cmd_counterexample(session: Session) -> int:
+    market = _created_market(session, "counterexample")
+    result = session.execute()
     matching = result.matching
     print("Section III-D counterexample")
     coalitions = {
@@ -1075,43 +1049,28 @@ def _cmd_counterexample(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_distributed(spec: RunSpec) -> int:
-    from repro.distributed.transition import adaptive_policy, default_policy
-
-    market = build_market(spec.market)
-    _emit_market_created(market, "paper_simulation")
+def _cmd_distributed(session: Session) -> int:
+    """The centralized reference, then one protocol run per policy."""
+    spec = session.spec
+    market = _created_market(session, "paper_simulation")
     centralized = execute_two_stage(market, record_trace=False)
-    engine = getattr(get_recorder(), "slo_engine", None)
-    if engine is not None:
-        engine.set_reference("welfare", centralized.social_welfare)
+    _set_slo_reference(session, centralized.social_welfare)
     print(
         f"market: N={spec.market.buyers} buyers, M={spec.market.sellers} "
         f"channels (seed {spec.market.seed}); centralized welfare "
         f"{centralized.social_welfare:.4f}"
     )
-    network = None
-    reliable = False
     loss = spec.faults.loss
     if loss > 0.0:
-        from repro.distributed.network import LossyNetwork
-
-        network = LossyNetwork(loss)
-        reliable = True
         print(f"network: {loss:.0%} message loss, ARQ transport enabled")
-    policy_name = spec.engine.options.get("policy", "both")
-    policies = []
-    if policy_name in ("default", "both"):
-        policies.append(("default", default_policy()))
-    if policy_name in ("adaptive", "both"):
-        policies.append(("adaptive", adaptive_policy()))
-    for name, policy in policies:
-        run = execute_distributed(
-            market,
-            policy=policy,
-            network=network,
-            seed=spec.market.seed,
-            reliable_transport=reliable,
-        )
+    chosen = spec.engine.options.get("policy", "both")
+    for name in ("default", "adaptive") if chosen == "both" else (chosen,):
+        run = Session(
+            spec,
+            recorder=session.recorder,
+            market=market,
+            policy=build_policy(name),
+        ).execute()
         print(
             f"{name:>8}: slots={run.slots} messages={run.messages_sent} "
             f"dropped={run.messages_dropped} "
@@ -1121,118 +1080,41 @@ def _cmd_distributed(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_chaos_durable(spec: RunSpec) -> int:
-    from repro.errors import CheckpointError
-
-    try:
-        result = execute_durable(
-            "chaos",
-            spec.durability.checkpoint_dir,
-            spec.durable_identity(),
-            seed=spec.market.seed,
-            recorder=get_recorder(),
-            inject_stall_after=spec.durability.inject_stall_after,
-        )
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_durable_chaos_result(spec.durability.checkpoint_dir, result)
-    return 0
-
-
-def _print_durable_chaos_result(run_dir: str, result: dict) -> None:
-    print(f"durable chaos run complete in {run_dir}")
-    print(
-        f"status={result['status']} slots={result['slots']} "
-        f"welfare={result['social_welfare']:.4f} "
-        f"matched={result['matched']}"
-    )
-    print(
-        f"faults: crashes={result['crashes']} restarts={result['restarts']} "
-        f"lost_to_crash={result['messages_lost_to_crash']} "
-        f"partition_drops={result['partition_drops']} "
-        f"view_divergences={result['view_divergences']}"
-    )
-    print(
-        f"traffic: sent={result['messages_sent']} "
-        f"delivered={result['messages_delivered']} "
-        f"dropped={result['messages_dropped']}"
-    )
-
-
-def _cmd_chaos(spec: RunSpec) -> int:
-    from repro.distributed.faults import (
-        CrashFault,
-        FaultSchedule,
-        PartitionFault,
-    )
-    from repro.distributed.transition import adaptive_policy, default_policy
+def _cmd_chaos(session: Session) -> int:
+    """The fault-free twin, then the faulty run of the spec itself."""
     from repro.errors import SimulationError
+    from repro.obs import NULL_RECORDER
 
-    if spec.durability.durable:
-        return _cmd_chaos_durable(spec)
-
-    market = build_market(spec.market)
-    _emit_market_created(market, "paper_simulation")
-    policy_name = spec.engine.options.get("policy", "default")
-    policy = (
-        default_policy() if policy_name == "default" else adaptive_policy()
-    )
-
-    schedule = FaultSchedule(
-        crashes=[CrashFault.parse(s) for s in spec.faults.crashes],
-        partitions=[
-            PartitionFault.parse(s) for s in spec.faults.partitions
-        ],
-    )
-    network = None
-    reliable = False
-    loss = spec.faults.loss
-    if loss > 0.0:
-        from repro.distributed.network import LossyNetwork
-
-        network = LossyNetwork(loss)
-        reliable = True
+    spec = session.spec
+    faults = spec.faults
+    market = _created_market(session, "paper_simulation")
+    policy = session.policy
     print(
         f"market: N={spec.market.buyers} buyers, M={spec.market.sellers} "
-        f"channels (seed {spec.market.seed}); policy {policy_name}"
+        f"channels (seed {spec.market.seed}); policy "
+        f"{spec.engine.options.get('policy', 'default')}"
     )
     print(
-        f"faults: {len(schedule.crashes)} crash(es), "
-        f"{len(schedule.partitions)} partition(s); "
-        f"loss {loss:.0%}"
-        + (", ARQ transport" if reliable else "")
+        f"faults: {len(faults.crashes)} crash(es), "
+        f"{len(faults.partitions)} partition(s); "
+        f"loss {faults.loss:.0%}"
+        + (", ARQ transport" if faults.loss > 0.0 else "")
         + (
-            f"; deadline {spec.faults.deadline_slots} slots "
-            f"({spec.faults.on_timeout} on timeout)"
-            if spec.faults.deadline_slots is not None
+            f"; deadline {faults.deadline_slots} slots "
+            f"({faults.on_timeout} on timeout)"
+            if faults.deadline_slots is not None
             else ""
         )
     )
     # The fault-free reference twin runs under the null recorder, so a
     # --trace-out trace contains only the chaos run itself and diffs
     # cleanly against a separately recorded fault-free trace.
-    from repro.obs import NULL_RECORDER
-
     reference = execute_distributed(
         market, policy=policy, recorder=NULL_RECORDER
     )
-    # The fault-free welfare is the natural baseline for the
-    # welfare_regression_pct SLO signal.
-    engine = getattr(get_recorder(), "slo_engine", None)
-    if engine is not None:
-        engine.set_reference("welfare", reference.social_welfare)
+    _set_slo_reference(session, reference.social_welfare)
     try:
-        run = execute_distributed(
-            market,
-            policy=policy,
-            network=network,
-            seed=spec.market.seed,
-            reliable_transport=reliable,
-            fault_schedule=schedule if not schedule.empty else None,
-            deadline_slots=spec.faults.deadline_slots,
-            on_timeout=spec.faults.on_timeout,
-        )
+        run = session.execute()
     except SimulationError as exc:
         print(f"run aborted: {exc}")
         return 1
@@ -1258,10 +1140,10 @@ def _cmd_chaos(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_swaps(spec: RunSpec) -> int:
-    from repro.core.swap_extension import coordinated_swaps
-
-    market = build_market(spec.market)
+def _cmd_swaps(session: Session) -> int:
+    spec = session.spec
+    stage3 = session.execute()
+    market = session.market
     if spec.market.scenario == "counterexample":
         print("instance: Section III-D counterexample")
     else:
@@ -1269,8 +1151,6 @@ def _cmd_swaps(spec: RunSpec) -> int:
             f"instance: random market N={spec.market.buyers}, "
             f"M={spec.market.sellers} (seed {spec.market.seed})"
         )
-    result = execute_two_stage(market, record_trace=False)
-    stage3 = coordinated_swaps(market, result.matching)
     print(f"two-stage welfare: {stage3.welfare_before:.4f}")
     print(f"after Stage III:   {stage3.welfare_after:.4f} "
           f"({stage3.num_swaps} swap(s) executed)")
@@ -1285,60 +1165,10 @@ def _cmd_swaps(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_dynamic_durable(spec: RunSpec) -> int:
-    from repro.errors import CheckpointError
-
-    try:
-        result = execute_durable(
-            "dynamic",
-            spec.durability.checkpoint_dir,
-            spec.durable_identity(),
-            seed=spec.market.seed,
-            recorder=get_recorder(),
-            inject_stall_after=spec.durability.inject_stall_after,
-        )
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"durable dynamic run complete in {spec.durability.checkpoint_dir} "
-        f"({result['epochs']} epochs, strategy {result['strategy']})"
-    )
-    print(
-        f"{result['strategy']:>5}: total welfare "
-        f"{result['total_welfare']:.2f}, incumbents moved "
-        f"{result['total_churned']}, protocol rounds {result['total_rounds']}"
-    )
-    return 0
-
-
-def _cmd_dynamic(spec: RunSpec) -> int:
-    import numpy as np
-
-    from repro.dynamic.generator import DynamicMarketGenerator
-    from repro.dynamic.online import OnlineMatcher, RematchStrategy
-
-    if spec.durability.durable:
-        return _cmd_dynamic_durable(spec)
-
+def _cmd_dynamic(session: Session) -> int:
+    spec = session.spec
     workload = spec.market.workload
-    strategies = (
-        list(RematchStrategy)
-        if workload.strategy == "both"
-        else [RematchStrategy(workload.strategy)]
-    )
-    results = {}
-    for strategy in strategies:
-        generator = DynamicMarketGenerator(
-            num_channels=spec.market.sellers,
-            initial_buyers=spec.market.buyers,
-            arrival_rate=workload.arrival_rate,
-            departure_prob=workload.departure_prob,
-            drift_sigma=workload.drift,
-            rng=np.random.default_rng(spec.market.seed),
-        )
-        matcher = OnlineMatcher(strategy)
-        results[strategy] = matcher.run(generator.epochs(workload.epochs))
+    results = session.execute()
     print(
         f"{workload.epochs} epochs, N0={spec.market.buyers}, "
         f"M={spec.market.sellers}, "
@@ -1356,7 +1186,51 @@ def _cmd_dynamic(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_report(spec: RunSpec) -> int:
+def _durable_outcome(run_dir: str, execute) -> int:
+    """Print a durable run's result: a fresh run or ``repro resume``."""
+    from repro.errors import CheckpointError, SimulationError
+
+    try:
+        result = execute()
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SimulationError as exc:
+        print(f"run aborted: {exc}")
+        return 1
+    if result["kind"] == "dynamic":
+        print(
+            f"durable dynamic run complete in {run_dir} "
+            f"({result['epochs']} epochs, strategy {result['strategy']})"
+        )
+        print(
+            f"{result['strategy']:>5}: total welfare "
+            f"{result['total_welfare']:.2f}, incumbents moved "
+            f"{result['total_churned']}, protocol rounds "
+            f"{result['total_rounds']}"
+        )
+        return 0
+    print(f"durable chaos run complete in {run_dir}")
+    print(
+        f"status={result['status']} slots={result['slots']} "
+        f"welfare={result['social_welfare']:.4f} "
+        f"matched={result['matched']}"
+    )
+    print(
+        f"faults: crashes={result['crashes']} restarts={result['restarts']} "
+        f"lost_to_crash={result['messages_lost_to_crash']} "
+        f"partition_drops={result['partition_drops']} "
+        f"view_divergences={result['view_divergences']}"
+    )
+    print(
+        f"traffic: sent={result['messages_sent']} "
+        f"delivered={result['messages_delivered']} "
+        f"dropped={result['messages_dropped']}"
+    )
+    return 0
+
+
+def _cmd_report(session: Session) -> int:
     """Quick replication report: each headline claim, checked live."""
     import numpy as np
 
@@ -1365,7 +1239,7 @@ def _cmd_report(spec: RunSpec) -> int:
     from repro.distributed.transition import adaptive_policy, default_policy
     from repro.optimal.branch_and_bound import optimal_matching_branch_and_bound
 
-    seed = spec.market.seed
+    seed = session.spec.market.seed
 
     def line(ok: bool, text: str) -> None:
         print(f"  [{'PASS' if ok else 'FAIL'}] {text}")
@@ -1374,7 +1248,7 @@ def _cmd_report(spec: RunSpec) -> int:
     print("paper: Chen et al., 'Spectrum Matching', IEEE ICDCS 2016\n")
 
     print("Toy example (Figs. 1-3):")
-    toy = toy_example_market()
+    toy = build_market(MarketSpec(scenario="toy"))
     toy_result = execute_two_stage(toy, record_trace=False)
     line(
         toy_result.welfare_stage1 == 27.0,
@@ -1386,7 +1260,7 @@ def _cmd_report(spec: RunSpec) -> int:
     )
 
     print("Stability (Propositions 3-4, Section III-D):")
-    ce = counterexample_market()
+    ce = build_market(MarketSpec(scenario="counterexample"))
     ce_result = execute_two_stage(ce, record_trace=False)
     line(is_nash_stable(ce, ce_result.matching), "output Nash-stable")
     line(
@@ -1415,7 +1289,7 @@ def _cmd_report(spec: RunSpec) -> int:
     line(mean_ratio > 0.9, f"mean welfare ratio {mean_ratio:.3f} (20 markets)")
 
     print("Distributed implementation (Section IV):")
-    market = paper_simulation_market(12, 3, np.random.default_rng(seed))
+    market = build_market(MarketSpec(buyers=12, sellers=3, seed=seed))
     centralized = execute_two_stage(market, record_trace=False)
     distributed = execute_distributed(market, policy=default_policy())
     line(
@@ -1433,23 +1307,22 @@ def _cmd_report(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_solve(spec: RunSpec) -> int:
+def _cmd_solve(session: Session) -> int:
     from repro.engine import get_solver
     from repro.errors import SolverError
 
-    market = build_market(spec.market)
-    _emit_market_created(market, spec.market.scenario)
-    config = dict(spec.engine.options)
-    check_stability = bool(config.get("check_stability"))
+    spec = session.spec
+    market = _created_market(session, spec.market.scenario)
+    check_stability = bool(spec.engine.options.get("check_stability"))
     try:
-        solver = get_solver(spec.engine.name)
-        report = solver.solve(market, config=config or None)
+        report = session.execute()
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    capabilities = get_solver(spec.engine.name).capabilities
     print(
         f"solver: {report.solver} "
-        f"[{', '.join(sorted(c.value for c in solver.capabilities))}]"
+        f"[{', '.join(sorted(c.value for c in capabilities))}]"
     )
     print(
         f"market: {market.num_buyers} buyers x {market.num_channels} channels "
@@ -1479,6 +1352,30 @@ def _cmd_solve(spec: RunSpec) -> int:
     if report.trace_path is not None:
         print(f"trace: {report.trace_path}")
     return 0
+
+
+_PRESENTERS = dict(
+    fig6=_cmd_figure, fig7=_cmd_figure, fig8=_cmd_figure, toy=_cmd_toy,
+    counterexample=_cmd_counterexample, distributed=_cmd_distributed,
+    chaos=_cmd_chaos, swaps=_cmd_swaps, dynamic=_cmd_dynamic,
+    report=_cmd_report, solve=_cmd_solve,
+)
+
+
+def _run_spec(session: Session) -> int:
+    """The body of a spec command: its presenter or composite."""
+    from repro.errors import SpecError
+
+    spec = session.spec
+    try:
+        if session.durable:
+            return _durable_outcome(
+                spec.durability.checkpoint_dir, session.execute
+            )
+        return _PRESENTERS[spec.command](session)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 # ----------------------------------------------------------------------
@@ -1586,29 +1483,11 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    from repro.errors import CheckpointError
-    from repro.runtime import CheckpointStore, resume_run
+    from repro.runtime import resume_run
 
-    try:
-        kind = CheckpointStore.open(args.run_dir).kind
-        result = resume_run(args.run_dir, recorder=get_recorder())
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if kind == "dynamic":
-        print(
-            f"durable dynamic run complete in {args.run_dir} "
-            f"({result['epochs']} epochs, strategy {result['strategy']})"
-        )
-        print(
-            f"{result['strategy']:>5}: total welfare "
-            f"{result['total_welfare']:.2f}, incumbents moved "
-            f"{result['total_churned']}, protocol rounds "
-            f"{result['total_rounds']}"
-        )
-    else:
-        _print_durable_chaos_result(args.run_dir, result)
-    return 0
+    return _durable_outcome(
+        args.run_dir, lambda: resume_run(args.run_dir, recorder=get_recorder())
+    )
 
 
 def _cmd_supervise(args: argparse.Namespace) -> int:
@@ -1646,7 +1525,8 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError, SpecError
+    """``profile top`` / ``profile diff``; ``main`` runs ``profile run``."""
+    from repro.errors import ObservabilityError
     from repro.prof import (
         diff_profiles,
         format_diff,
@@ -1655,30 +1535,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     try:
-        if args.profile_command == "run":
-            from repro.run.session import Session
-
-            try:
-                with open(args.spec, "r", encoding="utf-8") as handle:
-                    spec = RunSpec.from_json(handle.read())
-            except OSError as exc:
-                print(
-                    f"error: cannot read spec file {args.spec!r}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            spec = dataclasses.replace(
-                spec,
-                profile=ProfileSpec(
-                    profile_out=args.out, memory=not args.no_memory
-                ),
-            )
-            Session(spec).run()
-            print(f"profile written to {args.out}")
-            payload = load_profile(args.out)
-            for line in format_top(payload, limit=10, section="spans"):
-                print(line)
-            return 0
         if args.profile_command == "top":
             payload = load_profile(args.path)
             for line in format_top(
@@ -1693,7 +1549,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             for line in format_diff(diff):
                 print(line)
             return 1 if diff["counter_drift"] else 0
-    except (OSError, ObservabilityError, SpecError) as exc:
+    except (OSError, ObservabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(
@@ -1716,37 +1572,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
-def _dispatch_spec(spec: RunSpec) -> int:
-    """Validate a RunSpec and execute its command implementation."""
-    from repro.errors import SpecError
-
-    try:
-        spec.validate()
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    command = spec.command
-    if command in ("fig6", "fig7", "fig8"):
-        return _cmd_figure(int(command[3]), spec)
-    if command == "toy":
-        return _cmd_toy(spec)
-    if command == "counterexample":
-        return _cmd_counterexample(spec)
-    if command == "distributed":
-        return _cmd_distributed(spec)
-    if command == "chaos":
-        return _cmd_chaos(spec)
-    if command == "swaps":
-        return _cmd_swaps(spec)
-    if command == "dynamic":
-        return _cmd_dynamic(spec)
-    if command == "report":
-        return _cmd_report(spec)
-    if command == "solve":
-        return _cmd_solve(spec)
-    raise AssertionError(f"unhandled spec command {command!r}")
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "solvers":
         return _cmd_solvers(args)
@@ -1763,146 +1588,103 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+def _read_spec(path: str) -> RunSpec:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return RunSpec.from_json(handle.read())
+    except OSError as exc:
+        from repro.errors import SpecError
+
+        raise SpecError(f"cannot read spec file {path!r}: {exc}") from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     from repro.errors import ObservabilityError, SpecError
 
+    profile_run = args.command == "profile" and args.profile_command == "run"
     spec: Optional[RunSpec] = None
-    if args.command == "run":
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = RunSpec.from_json(handle.read())
-        except OSError as exc:
-            print(
-                f"error: cannot read spec file {args.spec!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        except SpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.command in RUN_COMMANDS:
-        spec = _spec_from_args(args)
-
+    try:
+        if args.command == "run" or profile_run:
+            spec = _read_spec(args.spec)
+        elif args.command in RUN_COMMANDS:
+            spec = _spec_from_args(args)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if profile_run:  # `run` with a profile section, then the span table
+        profile = ProfileSpec(profile_out=args.out, memory=not args.no_memory)
+        spec = dataclasses.replace(spec, profile=profile)
     if spec is not None and getattr(args, "dry_run", False):
         print(spec.to_json(indent=2))
         return 0
 
-    if spec is not None:
-        telemetry = spec.telemetry
-        profile = spec.profile
-        manifest_seed: Optional[int] = spec.market.seed
-        manifest_config: dict = spec.to_dict()
-    else:
-        telemetry = TelemetrySpec.from_args(args)
-        profile = ProfileSpec.from_args(args)
-        manifest_seed = getattr(args, "seed", None)
-        manifest_config = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in _OBS_FLAGS
-        }
-
     try:
-        recorder = build_recorder(
-            telemetry,
-            profile=profile,
-            seed=manifest_seed,
-            config=manifest_config,
-        )
+        if spec is not None:
+            telemetry, profile = spec.telemetry, spec.profile
+            session = Session(spec)
+            lifecycle = session.open()
+            body = functools.partial(_run_spec, session)
+        else:
+            telemetry = TelemetrySpec.from_args(args)
+            profile = ProfileSpec.from_args(args)
+            config = {
+                key: value
+                for key, value in vars(args).items()
+                if key not in _OBS_FLAGS
+            }
+            recorder = build_recorder(
+                telemetry, profile=profile,
+                seed=getattr(args, "seed", None), config=config,
+            )
+            lifecycle = RunLifecycle(
+                telemetry, recorder, profile=profile,
+                meta={"command": args.command},
+            )
+            body = functools.partial(_dispatch, args)
     except OSError as exc:
         print(
             f"error: cannot open trace file {telemetry.trace_out!r}: {exc}",
             file=sys.stderr,
         )
         return 2
-
-    engine = None
-    if telemetry.slo:
-        try:
-            engine = build_slo_engine(telemetry, recorder)
-        except ObservabilityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            recorder.close()
-            return 2
-
-    server = None
-    if telemetry.serve_metrics is not None:
-        try:
-            server = start_telemetry_server(telemetry, recorder, engine)
-        except (ObservabilityError, OSError) as exc:
-            print(f"error: cannot serve telemetry: {exc}", file=sys.stderr)
-            recorder.close()
-            return 2
-        print(f"telemetry server listening on {server.url}", file=sys.stderr)
-
-    profiler = build_profiler(
-        profile, recorder, meta={"command": args.command}
-    )
+    except (SpecError, ObservabilityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if lifecycle.server is not None:
+        print(
+            f"telemetry server listening on {lifecycle.server.url}",
+            file=sys.stderr,
+        )
     try:
-        with recorder, use_recorder(recorder):
-            if profiler is not None:
-                profiler.start()
-            if spec is not None:
-                exit_code = _dispatch_spec(spec)
-            else:
-                exit_code = _dispatch(args)
-            if profiler is not None:
-                profiler.stop()
-            if engine is not None:
-                # Final evaluation happens inside the recorder context so
-                # slo.violated events reach the trace before it closes.
-                engine.evaluate(final=True)
-    finally:
-        if server is not None:
-            hold = float(telemetry.serve_hold)
-            if hold > 0:
-                import time
+        exit_code = lifecycle.run(body)
+    except ObservabilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-                time.sleep(hold)
-            server.stop()
-
-    if engine is not None:
-        for rule_text, count in engine.violation_counts.items():
+    if lifecycle.slo_engine is not None:
+        for rule_text, count in lifecycle.slo_engine.violation_counts.items():
             print(
                 f"slo violated: {rule_text} ({count} evaluation(s))",
                 file=sys.stderr,
             )
-        exit_code = max(exit_code, engine.exit_code())
+    exit_code = max(exit_code, lifecycle.slo_exit_code)
     if telemetry.metrics:
         print("\n-- observability summary --")
-        print(format_metrics_summary(recorder))
+        print(format_metrics_summary(lifecycle.recorder))
     if telemetry.metrics_out is not None:
-        from repro.ioutil import atomic_write_text
-        from repro.trace.export import to_openmetrics
-
-        try:
-            atomic_write_text(
-                telemetry.metrics_out,
-                to_openmetrics(recorder.metrics.snapshot()),
-            )
-        except OSError as exc:
-            print(
-                f"error: cannot write metrics file "
-                f"{telemetry.metrics_out!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
         print(f"metrics written to {telemetry.metrics_out}")
-    if profiler is not None and profiler.payload is not None:
-        try:
-            profiler.write()
-        except OSError as exc:
-            print(
-                f"error: cannot write profile to "
-                f"{profile.profile_out!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+    if profile.enabled:
         print(f"profile written to {profile.profile_out}")
     if telemetry.trace_out is not None:
         print(f"trace written to {telemetry.trace_out}")
+    if profile_run:
+        from repro.prof import format_top, load_profile
+
+        payload = load_profile(profile.profile_out)
+        for line in format_top(payload, limit=10, section="spans"):
+            print(line)
     return exit_code
 
 

@@ -1,21 +1,20 @@
-"""The Session layer: one execution path for every kind of run.
+"""The Session layer: the one way a :class:`RunSpec` becomes a running engine.
 
-Historically each entrypoint -- :func:`repro.core.two_stage.run_two_stage`,
-:func:`repro.distributed.protocol.run_distributed_matching`,
-:meth:`repro.dynamic.online.OnlineMatcher.run`, the durable runners in
-:mod:`repro.runtime.durable` and the registry's
-:func:`repro.engine.registry.solve` -- hand-plumbed recorders, fault
-schedules and checkpoint stores itself.  This module is now the single
-home of those execution bodies:
+Every entry point -- ``Session(spec).run()``, every CLI command (``repro
+run`` and ``repro profile run`` included) and the durable runtime, fresh
+and resumed -- executes through this module:
 
-* the ``execute_*`` functions hold the entrypoints' original bodies,
+* the ``execute_*`` functions hold the five legacy entrypoints' bodies,
   byte-for-byte in observable behaviour (the golden traces lock this);
   the legacy entrypoints are thin deprecated shims over them;
-* :func:`build_recorder` / :func:`build_slo_engine` /
-  :func:`start_telemetry_server` assemble the observability stack from a
-  :class:`~repro.run.spec.TelemetrySpec` exactly the way the CLI always
-  did from flags;
-* :class:`Session` validates a :class:`~repro.run.spec.RunSpec` and
+* the ``build_*`` functions (plus :func:`slot_budget` and
+  :meth:`~repro.run.spec.FaultSpec.build_schedule`) are the only
+  spec-to-engine assembly: market, recorder, transition policy, network,
+  slot bound and dynamic generator;
+* :class:`RunLifecycle` is the one run lifecycle -- SLO engine,
+  telemetry server, profiler, final SLO verdict, ``serve_hold``,
+  ``metrics_out`` -- shared by :meth:`Session.run` and the CLI;
+* :class:`Session` validates a spec and :meth:`Session.execute`
   dispatches it to the right engine, returning the canonical result
   object (``TwoStageResult``, ``DistributedResult``, ``SolveReport``,
   epoch outcomes, or the durable result dict).
@@ -27,7 +26,9 @@ canonical serialization -- resume compatibility is a spec-equality check.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import contextlib
+import time
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +37,8 @@ from repro.core.transfer_invitation import transfer_and_invitation
 from repro.core.two_stage import TwoStageResult
 from repro.distributed.protocol import build_distributed_simulation
 from repro.engine.validation import matching_welfare
-from repro.errors import ProtocolError, SpecError
+from repro.errors import ObservabilityError, ProtocolError, SpecError
+from repro.ioutil import atomic_write_text
 from repro.obs import (
     JsonlEventSink,
     MetricsRegistry,
@@ -44,23 +46,42 @@ from repro.obs import (
     RunRegistry,
     SpanTracer,
     build_manifest,
+    use_recorder,
 )
-from repro.obs.recorder import resolve_recorder
-from repro.run.spec import MarketSpec, ProfileSpec, RunSpec, TelemetrySpec
+from repro.obs.recorder import get_recorder, resolve_recorder
+from repro.run.spec import (
+    FaultSpec,
+    MarketSpec,
+    ProfileSpec,
+    RunSpec,
+    TelemetrySpec,
+)
 
 __all__ = [
+    "DEFAULT_MAX_SLOTS",
     "Session",
+    "RunLifecycle",
     "build_market",
     "build_recorder",
     "build_profiler",
     "build_slo_engine",
     "start_telemetry_server",
+    "build_policy",
+    "build_network",
+    "build_generator",
+    "slot_budget",
     "execute_two_stage",
     "execute_distributed",
     "execute_online_run",
     "execute_durable",
     "execute_solve",
 ]
+
+#: Slot bound of a distributed run that sets neither
+#: ``faults.deadline_slots`` nor ``engine.options.max_slots``.
+DEFAULT_MAX_SLOTS = 1_000_000
+
+_DURABLE_COMMANDS = ("distributed", "chaos", "dynamic")
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +154,7 @@ def execute_distributed(
     policy=None,
     network=None,
     seed: int = 0,
-    max_slots: int = 1_000_000,
+    max_slots: int = DEFAULT_MAX_SLOTS,
     reliable_transport: bool = False,
     retransmit_interval: int = 4,
     initial_matching=None,
@@ -149,10 +170,7 @@ def execute_distributed(
     run_distributed_matching`; see that shim for the full parameter
     documentation.
     """
-    if on_timeout not in ("raise", "degrade"):
-        raise ProtocolError(
-            f"on_timeout must be 'raise' or 'degrade', got {on_timeout!r}"
-        )
+    bound, mode = slot_budget(deadline_slots, max_slots, on_timeout)
     sim = build_distributed_simulation(
         market,
         policy=policy,
@@ -166,12 +184,7 @@ def execute_distributed(
         fault_schedule=fault_schedule,
     )
     sim.emit_run_start()
-    bound = deadline_slots if deadline_slots is not None else max_slots
-    slots = sim.simulator.run(
-        max_slots=bound,
-        on_timeout="stop" if on_timeout == "degrade" else "raise",
-    )
-    return sim.finalize(slots)
+    return sim.finalize(sim.simulator.run(max_slots=bound, on_timeout=mode))
 
 
 def execute_online_run(matcher, epochs) -> List:
@@ -212,18 +225,12 @@ def execute_durable(
     run_durable_dynamic` and :func:`~repro.runtime.durable.
     run_durable_chaos`.  ``config`` is either the legacy flat mapping
     those shims document or a spec-shaped identity from
-    :meth:`~repro.run.spec.RunSpec.durable_identity`; the durable layer's
-    ``run_params`` normalizer accepts both, so old run directories keep
-    resuming.
+    :meth:`~repro.run.spec.RunSpec.durable_identity`; the durable layer
+    reads either into a spec (:func:`repro.runtime.durable.
+    spec_from_store`), so old run directories keep resuming.
     """
     from repro.runtime.checkpoint import CheckpointStore
-    from repro.runtime.durable import (
-        _DurableRun,
-        _build_chaos_simulation,
-        _build_dynamic_engine,
-        _drive_chaos,
-        _drive_dynamic,
-    )
+    from repro.runtime.durable import _DurableRun, _run_to_completion
 
     if kind not in ("dynamic", "chaos"):
         raise SpecError(f"unknown durable run kind {kind!r}")
@@ -233,15 +240,7 @@ def execute_durable(
     run = _DurableRun(
         store, recorder, fresh=True, inject_stall_after=inject_stall_after
     )
-    try:
-        if kind == "dynamic":
-            generator, matcher = _build_dynamic_engine(store)
-            return _drive_dynamic(run, generator, matcher, start_index=0)
-        sim = _build_chaos_simulation(store, run.recorder)
-        sim.emit_run_start()
-        return _drive_chaos(run, sim)
-    finally:
-        run.close()
+    return _run_to_completion(run)
 
 
 def execute_solve(
@@ -261,25 +260,98 @@ def execute_solve(
 
 
 # ----------------------------------------------------------------------
-# Uniform assembly: market, recorder, SLO engine, telemetry server
+# Uniform assembly: the only spec-to-engine builders
 # ----------------------------------------------------------------------
 def build_market(spec: MarketSpec):
-    """Materialise a :class:`MarketSpec` into a live market instance."""
+    """Materialise a :class:`MarketSpec` into a live market instance.
+
+    The build runs in a ``market.build`` span on the ambient recorder (a
+    no-op on the null recorder).
+    """
     from repro.workloads.scenarios import (
         counterexample_market,
         paper_simulation_market,
         toy_example_market,
     )
 
-    if spec.scenario == "toy":
-        return toy_example_market()
-    if spec.scenario == "counterexample":
-        return counterexample_market()
-    if spec.scenario == "paper":
-        return paper_simulation_market(
-            spec.buyers, spec.sellers, np.random.default_rng(spec.seed)
-        )
+    with get_recorder().span("market.build"):
+        if spec.scenario == "toy":
+            return toy_example_market()
+        if spec.scenario == "counterexample":
+            return counterexample_market()
+        if spec.scenario == "paper":
+            return paper_simulation_market(
+                spec.buyers, spec.sellers, np.random.default_rng(spec.seed)
+            )
     raise SpecError(f"market.scenario: unknown scenario {spec.scenario!r}")
+
+
+def build_policy(name: str):
+    """The transition policy named by ``engine.options.policy``.
+
+    ``"both"`` names a comparison, not a policy: the CLI's
+    ``distributed`` command expands it into one run per policy.
+    """
+    from repro.distributed.transition import adaptive_policy, default_policy
+
+    if name == "both":
+        raise SpecError(
+            "engine.options.policy: a Session runs a single policy; "
+            "build one spec per policy for comparisons"
+        )
+    if name not in ("default", "adaptive"):
+        raise SpecError(
+            f"engine.options.policy: must be 'default' or 'adaptive', "
+            f"got {name!r}"
+        )
+    return adaptive_policy() if name == "adaptive" else default_policy()
+
+
+def build_network(faults: FaultSpec):
+    """The network and ARQ flag of a distributed run.
+
+    Message loss (``faults.loss > 0``) means a lossy network behind the
+    reliable (ARQ) transport; otherwise the kernel's default network
+    without it.
+    """
+    loss = float(faults.loss)
+    if loss > 0.0:
+        from repro.distributed.network import LossyNetwork
+
+        return LossyNetwork(loss), True
+    return None, False
+
+
+def slot_budget(
+    deadline_slots: Optional[int], max_slots: int, on_timeout: str
+) -> Tuple[int, str]:
+    """The simulator's slot bound and timeout mode.
+
+    The bound is ``deadline_slots`` when set, else ``max_slots``.
+    ``on_timeout="degrade"`` maps to the kernel's ``"stop"`` (return the
+    best partial matching), ``"raise"`` to ``"raise"``.
+    """
+    if on_timeout not in ("raise", "degrade"):
+        raise ProtocolError(
+            f"on_timeout must be 'raise' or 'degrade', got {on_timeout!r}"
+        )
+    bound = deadline_slots if deadline_slots is not None else max_slots
+    return int(bound), ("stop" if on_timeout == "degrade" else "raise")
+
+
+def build_generator(market: MarketSpec):
+    """The epoch-stream generator of a dynamic run's market and workload."""
+    from repro.dynamic.generator import DynamicMarketGenerator
+
+    workload = market.workload
+    return DynamicMarketGenerator(
+        num_channels=market.sellers,
+        initial_buyers=market.buyers,
+        arrival_rate=workload.arrival_rate,
+        departure_prob=workload.departure_prob,
+        drift_sigma=workload.drift,
+        rng=np.random.default_rng(market.seed),
+    )
 
 
 def build_recorder(
@@ -346,22 +418,17 @@ def build_profiler(
 
 
 def build_slo_engine(telemetry: TelemetrySpec, recorder: Recorder):
-    """Instantiate the SLO engine (or None) and attach it to the recorder.
+    """Instantiate the SLO engine over ``recorder`` (or None).
 
-    Raises :class:`~repro.errors.ObservabilityError` for malformed rules,
-    exactly like the CLI always did.
+    Raises :class:`~repro.errors.ObservabilityError` for malformed rules.
     """
     if not telemetry.slo:
         return None
     from repro.obs import SloEngine
 
-    engine = SloEngine(
+    return SloEngine(
         list(telemetry.slo), recorder, policy=telemetry.slo_policy
     )
-    # Commands with a natural baseline (chaos's fault-free twin,
-    # distributed's centralised welfare) install references here.
-    recorder.slo_engine = engine
-    return engine
 
 
 def start_telemetry_server(
@@ -378,6 +445,106 @@ def start_telemetry_server(
     ).start()
 
 
+def _write_artifact(write: Callable[[], Any], what: str) -> None:
+    try:
+        write()
+    except OSError as exc:
+        raise ObservabilityError(f"{what}: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# The run lifecycle
+# ----------------------------------------------------------------------
+class RunLifecycle:
+    """One run's observability lifecycle, shared by Session and the CLI.
+
+    Construction builds the SLO engine and starts the telemetry server;
+    :meth:`run` starts the profiler, runs the body, stops the profiler,
+    makes the final SLO evaluation (recorder still open, so
+    ``slo.violated`` reaches the trace), writes the profile, waits out
+    ``serve_hold``, stops the server and writes ``metrics_out``.  Each
+    failure of those steps raises :class:`~repro.errors.ObservabilityError`
+    with the CLI's error text.  Afterwards :attr:`slo_engine` and
+    :attr:`slo_exit_code` carry the SLO verdict.
+    """
+
+    def __init__(
+        self,
+        telemetry: TelemetrySpec,
+        recorder: Recorder,
+        *,
+        profile: Optional[ProfileSpec] = None,
+        meta: Optional[Dict[str, Any]] = None,
+        owns_recorder: bool = True,
+    ) -> None:
+        self.telemetry = telemetry
+        self.recorder = recorder
+        self.profile = profile
+        self.meta = meta
+        self.owns_recorder = owns_recorder
+        self.server = None
+        try:
+            self.slo_engine = build_slo_engine(telemetry, recorder)
+            try:
+                self.server = start_telemetry_server(
+                    telemetry, recorder, self.slo_engine
+                )
+            except (ObservabilityError, OSError) as exc:
+                raise ObservabilityError(
+                    f"cannot serve telemetry: {exc}"
+                ) from exc
+        except ObservabilityError:
+            if owns_recorder:
+                recorder.close()
+            raise
+
+    @property
+    def slo_exit_code(self) -> int:
+        """1 when a rule under ``slo_policy: fail`` was violated, else 0."""
+        return 0 if self.slo_engine is None else self.slo_engine.exit_code()
+
+    def run(self, body: Callable[[], Any]) -> Any:
+        """Run ``body()`` inside the lifecycle and return its result."""
+        telemetry = self.telemetry
+        recorder = self.recorder
+        profiler = build_profiler(self.profile, recorder, meta=self.meta)
+        scope = recorder if self.owns_recorder else contextlib.nullcontext()
+        try:
+            if profiler is not None:
+                profiler.start()
+            with scope, use_recorder(recorder):
+                result = body()
+                if profiler is not None:
+                    profiler.stop()
+                if self.slo_engine is not None:
+                    # Inside the recorder context, so slo.violated events
+                    # reach the trace before it closes.
+                    self.slo_engine.evaluate(final=True)
+            if profiler is not None:
+                _write_artifact(
+                    profiler.write,
+                    f"cannot write profile to {self.profile.profile_out!r}",
+                )
+        finally:
+            if profiler is not None and profiler.payload is None:
+                profiler.stop()  # the body raised: stop, write nothing
+            if self.server is not None:
+                if telemetry.serve_hold > 0:
+                    time.sleep(float(telemetry.serve_hold))
+                self.server.stop()
+        if telemetry.metrics_out is not None:
+            from repro.trace.export import to_openmetrics
+
+            _write_artifact(
+                lambda: atomic_write_text(
+                    telemetry.metrics_out,
+                    to_openmetrics(recorder.metrics.snapshot()),
+                ),
+                f"cannot write metrics file {telemetry.metrics_out!r}",
+            )
+        return result
+
+
 # ----------------------------------------------------------------------
 # The Session runner
 # ----------------------------------------------------------------------
@@ -386,9 +553,11 @@ class Session:
 
     ``Session(spec).run()`` is the programmatic equivalent of the CLI:
     it validates the spec, assembles the recorder stack from
-    ``spec.telemetry`` (unless a live ``recorder`` is injected), builds
-    the market, dispatches to the right execution engine and returns the
-    canonical result object:
+    ``spec.telemetry`` (unless a live ``recorder`` is injected), and runs
+    :meth:`execute` inside the :class:`RunLifecycle` -- the same
+    lifecycle, and the same dispatch, every CLI run command uses.
+    :meth:`execute` builds the market and returns the canonical result
+    object:
 
     ========================  ===========================================
     spec.command              return value of :meth:`run`
@@ -405,7 +574,8 @@ class Session:
     ========================  ===========================================
 
     ``report`` is a CLI-only composite and is rejected with a
-    :class:`~repro.errors.SpecError`.
+    :class:`~repro.errors.SpecError`.  After :meth:`run`,
+    :attr:`lifecycle` carries the SLO verdict.
 
     Keyword overrides (``recorder``, ``market``, ``policy``, ``network``,
     ``initial_matching``, ``fault_schedule``) let advanced callers swap
@@ -439,6 +609,8 @@ class Session:
                 config=spec.to_dict(),
             )
         self.recorder = recorder
+        #: The lifecycle of the last :meth:`open` / :meth:`run`.
+        self.lifecycle: Optional[RunLifecycle] = None
 
     # ------------------------------------------------------------------
     @property
@@ -448,48 +620,47 @@ class Session:
             self._market = build_market(self.spec.market)
         return self._market
 
-    # ------------------------------------------------------------------
-    def run(self):
-        """Execute the spec and return the canonical result object."""
-        from repro.obs import use_recorder
+    @property
+    def policy(self):
+        """The distributed runs' transition policy, built lazily and cached."""
+        if self._policy is None:
+            self._policy = build_policy(
+                self.spec.engine.options.get("policy", "default")
+            )
+        return self._policy
 
+    @property
+    def durable(self) -> bool:
+        """Whether :meth:`execute` runs durably (WAL + checkpoints).
+
+        ``durability.checkpoint_dir`` makes ``distributed``, ``chaos``
+        and ``dynamic`` runs durable; the other commands ignore it.
+        """
         spec = self.spec
-        slo_engine = build_slo_engine(spec.telemetry, self.recorder)
-        server = start_telemetry_server(
-            spec.telemetry, self.recorder, slo_engine
-        )
-        profiler = build_profiler(
-            spec.profile,
-            self.recorder,
-            meta={"command": spec.command, "spec_hash": spec.spec_hash()},
-        )
-        try:
-            if profiler is not None:
-                profiler.start()
-            if self._owns_recorder:
-                with self.recorder, use_recorder(self.recorder):
-                    result = self._dispatch()
-                    if slo_engine is not None:
-                        slo_engine.evaluate(final=True)
-            else:
-                with use_recorder(self.recorder):
-                    result = self._dispatch()
-                    if slo_engine is not None:
-                        slo_engine.evaluate(final=True)
-            if profiler is not None:
-                profiler.stop()
-                profiler.write()
-                profiler = None
-        finally:
-            if profiler is not None:  # an exception unwound the dispatch
-                profiler.stop()
-            if server is not None:
-                server.stop()
-        return result
+        return spec.durability.durable and spec.command in _DURABLE_COMMANDS
 
     # ------------------------------------------------------------------
-    def _dispatch(self):
+    def open(self) -> RunLifecycle:
+        """Start the spec's lifecycle (SLO engine, telemetry server)."""
+        spec = self.spec
+        self.lifecycle = RunLifecycle(
+            spec.telemetry,
+            self.recorder,
+            profile=spec.profile,
+            meta={"command": spec.command, "spec_hash": spec.spec_hash()},
+            owns_recorder=self._owns_recorder,
+        )
+        return self.lifecycle
+
+    def run(self):
+        """Execute the spec inside its lifecycle; return the result."""
+        return self.open().run(self.execute)
+
+    def execute(self):
+        """Dispatch the spec to its engine (no lifecycle of its own)."""
         command = self.spec.command
+        if self.durable:
+            return self._run_durable()
         if command in ("toy", "counterexample"):
             return execute_two_stage(self.market)
         if command == "solve":
@@ -517,50 +688,26 @@ class Session:
             config=options or None,
         )
 
-    def _resolve_policy(self):
-        from repro.distributed.transition import (
-            adaptive_policy,
-            default_policy,
+    def _run_durable(self):
+        spec = self.spec
+        kind = "dynamic" if spec.command == "dynamic" else "chaos"
+        if kind == "chaos":
+            self.policy  # resolve now: a bad name fails before the run dir
+        return execute_durable(
+            kind,
+            spec.durability.checkpoint_dir,
+            spec.durable_identity(),
+            seed=spec.market.seed,
+            recorder=self.recorder,
+            inject_stall_after=spec.durability.inject_stall_after,
         )
-
-        if self._policy is not None:
-            return self._policy
-        name = self.spec.engine.options.get("policy", "default")
-        if name == "both":
-            raise SpecError(
-                "engine.options.policy: a Session runs a single policy; "
-                "build one spec per policy for comparisons"
-            )
-        if name not in ("default", "adaptive"):
-            raise SpecError(
-                f"engine.options.policy: must be 'default' or 'adaptive', "
-                f"got {name!r}"
-            )
-        return adaptive_policy() if name == "adaptive" else default_policy()
-
-    def _resolve_network(self):
-        if self._network is not None:
-            return self._network, True
-        loss = float(self.spec.faults.loss)
-        if loss > 0.0:
-            from repro.distributed.network import LossyNetwork
-
-            return LossyNetwork(loss), True
-        return None, False
 
     def _run_distributed(self):
         spec = self.spec
-        if spec.durability.durable:
-            return execute_durable(
-                "chaos",
-                spec.durability.checkpoint_dir,
-                spec.durable_identity(),
-                seed=spec.market.seed,
-                recorder=self.recorder,
-                inject_stall_after=spec.durability.inject_stall_after,
-            )
-        policy = self._resolve_policy()
-        network, reliable = self._resolve_network()
+        if self._network is not None:
+            network, reliable = self._network, True
+        else:
+            network, reliable = build_network(spec.faults)
         schedule = (
             self._fault_schedule
             if self._fault_schedule is not None
@@ -568,10 +715,12 @@ class Session:
         )
         return execute_distributed(
             self.market,
-            policy=policy,
+            policy=self.policy,
             network=network,
             seed=spec.market.seed,
-            max_slots=int(spec.engine.options.get("max_slots", 1_000_000)),
+            max_slots=int(
+                spec.engine.options.get("max_slots", DEFAULT_MAX_SLOTS)
+            ),
             reliable_transport=reliable,
             initial_matching=self._initial_matching,
             recorder=self.recorder,
@@ -587,20 +736,10 @@ class Session:
         return coordinated_swaps(self.market, result.matching)
 
     def _run_dynamic(self):
-        spec = self.spec
-        workload = spec.market.workload
-        if spec.durability.durable:
-            return execute_durable(
-                "dynamic",
-                spec.durability.checkpoint_dir,
-                spec.durable_identity(),
-                seed=spec.market.seed,
-                recorder=self.recorder,
-                inject_stall_after=spec.durability.inject_stall_after,
-            )
-        from repro.dynamic.generator import DynamicMarketGenerator
         from repro.dynamic.online import OnlineMatcher, RematchStrategy
 
+        spec = self.spec
+        workload = spec.market.workload
         strategies = (
             list(RematchStrategy)
             if workload.strategy == "both"
@@ -608,14 +747,7 @@ class Session:
         )
         results = {}
         for strategy in strategies:
-            generator = DynamicMarketGenerator(
-                num_channels=spec.market.sellers,
-                initial_buyers=spec.market.buyers,
-                arrival_rate=workload.arrival_rate,
-                departure_prob=workload.departure_prob,
-                drift_sigma=workload.drift,
-                rng=np.random.default_rng(spec.market.seed),
-            )
+            generator = build_generator(spec.market)
             matcher = OnlineMatcher(strategy, recorder=self.recorder)
             results[strategy] = execute_online_run(
                 matcher, generator.epochs(workload.epochs)

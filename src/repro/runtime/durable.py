@@ -33,69 +33,81 @@ run must run to completion.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
+from repro.distributed.protocol import build_distributed_simulation
 from repro.errors import CheckpointError
 from repro.obs.events import EventSink, JsonlEventSink
 from repro.obs.manifest import build_manifest
 from repro.obs.recorder import Recorder, resolve_recorder
+from repro.run.session import (
+    DEFAULT_MAX_SLOTS,
+    build_generator,
+    build_market,
+    build_network,
+    build_policy,
+    slot_budget,
+)
+from repro.run.spec import (
+    DurabilitySpec,
+    EngineSpec,
+    FaultSpec,
+    MarketSpec,
+    RunSpec,
+)
 from repro.runtime.checkpoint import CheckpointStore
 
-__all__ = ["run_durable_dynamic", "run_durable_chaos", "run_params"]
+__all__ = ["run_durable_dynamic", "run_durable_chaos", "spec_from_store"]
 
 
-def run_params(store: CheckpointStore) -> Dict[str, Any]:
-    """Normalise a run directory's stored config to the flat legacy keys.
+def spec_from_store(store: CheckpointStore) -> RunSpec:
+    """Read a run directory's stored config into the run's spec.
 
-    Durable run directories hold one of two config shapes: the legacy
-    flat mapping documented on :func:`run_durable_dynamic` /
-    :func:`run_durable_chaos`, or (since the Session layer) a
-    spec-shaped identity from
-    :meth:`repro.run.spec.RunSpec.durable_identity` with nested
-    ``market`` / ``engine`` / ``faults`` sections.  Every reader below
-    goes through this flattener, so both shapes build and resume
-    identically.
+    Durable run directories hold one of two config shapes: a spec-shaped
+    identity from :meth:`repro.run.spec.RunSpec.durable_identity` (Session
+    runs and the CLI), or the flat mapping documented on
+    :func:`run_durable_dynamic` / :func:`run_durable_chaos`, which is
+    nested into the first here.  This is the one reader of either, so
+    both shapes build and resume identically.  The market seed is always
+    the manifest's.
     """
+    if store.kind not in ("dynamic", "chaos"):
+        raise CheckpointError(
+            f"run manifest declares unknown kind {store.kind!r}; this "
+            f"build can resume 'dynamic' and 'chaos' runs"
+        )
     config = store.config
     if "market" not in config:
-        return dict(config)
-    params: Dict[str, Any] = {
-        "checkpoint_every": config.get("checkpoint_every", 0),
-    }
-    market = config.get("market", {})
-    for key in ("buyers", "sellers", "seed"):
-        if key in market:
-            params[key] = market[key]
-    workload = market.get("workload") or {}
-    for key in (
-        "epochs",
-        "arrival_rate",
-        "departure_prob",
-        "drift",
-        "strategy",
-    ):
-        if key in workload:
-            params[key] = workload[key]
-    options = config.get("engine", {}).get("options", {})
-    for key in ("policy", "max_slots"):
-        if key in options:
-            params[key] = options[key]
-    faults = config.get("faults", {})
-    for key in (
-        "loss",
-        "crashes",
-        "partitions",
-        "deadline_slots",
-        "on_timeout",
-    ):
-        if key in faults:
-            params[key] = faults[key]
-    return params
+        flat = config
+
+        def pick(*keys):
+            return {key: flat[key] for key in keys if key in flat}
+
+        config = {
+            "market": pick("buyers", "sellers"),
+            "engine": {"options": pick("policy", "max_slots")},
+            "faults": pick(
+                "loss", "crashes", "partitions", "deadline_slots", "on_timeout"
+            ),
+            **pick("checkpoint_every"),
+        }
+        if store.kind == "dynamic":
+            config["market"]["workload"] = pick(
+                "epochs", "arrival_rate", "departure_prob", "drift", "strategy"
+            )
+    market = MarketSpec.from_dict(config["market"])
+    return RunSpec(
+        command=config.get("command", store.kind),
+        market=dataclasses.replace(market, seed=store.seed),
+        engine=EngineSpec.from_dict(config.get("engine", {})),
+        faults=FaultSpec.from_dict(config.get("faults", {})),
+        durability=DurabilitySpec(
+            checkpoint_every=int(config.get("checkpoint_every") or 0)
+        ),
+    )
 
 
 class _TeeSink(EventSink):
@@ -136,11 +148,10 @@ class _DurableRun:
                 "run must run to completion"
             )
         self.store = store
+        #: The run's spec, read once from the stored config.
+        self.spec = spec_from_store(store)
         self.ambient = resolve_recorder(recorder)
         self.inject_stall_after = inject_stall_after
-        self.checkpoint_every = int(
-            run_params(store).get("checkpoint_every", 0) or 0
-        )
         #: All committed WAL records, prior (on resume) plus new.
         self.records: List[Dict[str, Any]] = list(prior_records or [])
         #: Recorded records past the restore point, used as the
@@ -194,7 +205,8 @@ class _DurableRun:
     def maybe_checkpoint(self, state_fn, codec: str) -> None:
         """Snapshot the engine when the checkpoint cadence is due."""
         count = len(self.records)
-        if self.checkpoint_every <= 0 or count % self.checkpoint_every:
+        every = self.spec.durability.checkpoint_every
+        if every <= 0 or count % every:
             return
         # The snapshot anchors the trace at its current durable length:
         # flush the sink's buffer, push it to disk, then measure.
@@ -237,31 +249,11 @@ class _DurableRun:
 # ----------------------------------------------------------------------
 # Dynamic (epoch-stream) runs
 # ----------------------------------------------------------------------
-def _build_dynamic_engine(store: CheckpointStore):
-    from repro.dynamic.generator import DynamicMarketGenerator
-    from repro.dynamic.online import OnlineMatcher, RematchStrategy
-
-    config = run_params(store)
-    generator = DynamicMarketGenerator(
-        num_channels=int(config["sellers"]),
-        initial_buyers=int(config["buyers"]),
-        arrival_rate=float(config["arrival_rate"]),
-        departure_prob=float(config["departure_prob"]),
-        drift_sigma=float(config["drift"]),
-        rng=np.random.default_rng(store.seed),
-    )
-    matcher = OnlineMatcher(RematchStrategy(config["strategy"]))
-    return generator, matcher
-
-
-def _drive_dynamic(
-    run: _DurableRun, generator, matcher, start_index: int
-) -> Dict[str, Any]:
-    """Execute epochs ``start_index..epochs-1`` under WAL protection."""
+def _drive_dynamic(run: _DurableRun, generator, matcher) -> Dict[str, Any]:
+    """Execute the epochs after the committed records under WAL protection."""
     store = run.store
-    epochs = int(run_params(store)["epochs"])
-    matcher._recorder = run.recorder  # route dynamic.epoch into the trace
-    for index in range(start_index, epochs):
+    epochs = run.spec.market.workload.epochs
+    for index in range(len(run.records), epochs):
         epoch = generator.next_epoch()
         outcome = matcher.step(epoch)
         run.commit_record(
@@ -343,55 +335,24 @@ def run_durable_dynamic(
 # ----------------------------------------------------------------------
 # Distributed chaos (slot-stream) runs
 # ----------------------------------------------------------------------
-def _build_chaos_simulation(store: CheckpointStore, recorder: Recorder):
-    from repro.distributed.faults import (
-        CrashFault,
-        FaultSchedule,
-        PartitionFault,
-    )
-    from repro.distributed.protocol import build_distributed_simulation
-    from repro.distributed.transition import adaptive_policy, default_policy
-    from repro.workloads.scenarios import paper_simulation_market
-
-    config = run_params(store)
-    rng = np.random.default_rng(store.seed)
-    market = paper_simulation_market(
-        int(config["buyers"]), int(config["sellers"]), rng
-    )
-    policy = (
-        adaptive_policy()
-        if config.get("policy") == "adaptive"
-        else default_policy()
-    )
-    schedule = FaultSchedule(
-        crashes=[CrashFault.parse(s) for s in config.get("crashes", [])],
-        partitions=[
-            PartitionFault.parse(s) for s in config.get("partitions", [])
-        ],
-    )
-    network = None
-    reliable = False
-    loss = float(config.get("loss", 0.0))
-    if loss > 0.0:
-        from repro.distributed.network import LossyNetwork
-
-        network = LossyNetwork(loss)
-        reliable = True
+def _build_chaos_simulation(run: _DurableRun):
+    spec = run.spec
+    network, reliable = build_network(spec.faults)
     return build_distributed_simulation(
-        market,
-        policy=policy,
+        build_market(spec.market),
+        policy=build_policy(spec.engine.options.get("policy", "default")),
         network=network,
-        seed=store.seed,
+        seed=spec.market.seed,
         reliable_transport=reliable,
-        recorder=recorder,
-        fault_schedule=schedule if not schedule.empty else None,
+        recorder=run.recorder,
+        fault_schedule=spec.faults.build_schedule(),
     )
 
 
 def _drive_chaos(run: _DurableRun, sim) -> Dict[str, Any]:
     """Run the simulator to quiescence under WAL protection."""
     store = run.store
-    config = run_params(store)
+    spec = run.spec
     simulator = sim.simulator
 
     def on_slot(s) -> None:
@@ -409,15 +370,12 @@ def _drive_chaos(run: _DurableRun, sim) -> Dict[str, Any]:
         run.maybe_checkpoint(s.snapshot_state, codec="pickle")
         run.maybe_stall()
 
-    deadline = config.get("deadline_slots")
-    max_slots = int(config.get("max_slots", 1_000_000))
-    bound = int(deadline) if deadline is not None else max_slots
-    on_timeout = str(config.get("on_timeout", "degrade"))
-    slots = simulator.run(
-        max_slots=bound,
-        on_timeout="stop" if on_timeout == "degrade" else "raise",
-        on_slot=on_slot,
+    bound, mode = slot_budget(
+        spec.faults.deadline_slots,
+        int(spec.engine.options.get("max_slots", DEFAULT_MAX_SLOTS)),
+        spec.faults.on_timeout,
     )
+    slots = simulator.run(max_slots=bound, on_timeout=mode, on_slot=on_slot)
     if run.verify_tail:
         raise CheckpointError(
             f"WAL holds records past quiescence: indices "
@@ -477,3 +435,38 @@ def run_durable_chaos(
         recorder=recorder,
         inject_stall_after=inject_stall_after,
     )
+
+
+# ----------------------------------------------------------------------
+# Fresh and resumed runs alike
+# ----------------------------------------------------------------------
+def _run_to_completion(
+    run: _DurableRun, checkpoint: Optional[Dict[str, Any]] = None
+) -> Dict[str, Any]:
+    """Rebuild the engine from the run's spec and drive it to the end.
+
+    ``checkpoint`` (from :meth:`CheckpointStore.latest_checkpoint`) is
+    restored into the rebuilt engine; without one the run starts from
+    its first step.  Closes ``run`` either way.
+    """
+    from repro.dynamic.online import OnlineMatcher, RematchStrategy
+
+    try:
+        if run.store.kind == "dynamic":
+            generator = build_generator(run.spec.market)
+            matcher = OnlineMatcher(
+                RematchStrategy(run.spec.market.workload.strategy),
+                recorder=run.recorder,
+            )
+            if checkpoint is not None:
+                generator.restore(checkpoint["state"]["generator"])
+                matcher.restore(checkpoint["state"]["matcher"])
+            return _drive_dynamic(run, generator, matcher)
+        sim = _build_chaos_simulation(run)
+        if checkpoint is None:
+            sim.emit_run_start()
+        else:
+            sim.simulator.restore_state(checkpoint["state"])
+        return _drive_chaos(run, sim)
+    finally:
+        run.close()

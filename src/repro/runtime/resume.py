@@ -37,13 +37,7 @@ from typing import Any, Dict, Optional
 from repro.errors import CheckpointError
 from repro.obs.recorder import Recorder, resolve_recorder
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.durable import (
-    _build_chaos_simulation,
-    _build_dynamic_engine,
-    _drive_chaos,
-    _drive_dynamic,
-    _DurableRun,
-)
+from repro.runtime.durable import _DurableRun, _run_to_completion
 
 __all__ = ["resume_run"]
 
@@ -128,23 +122,4 @@ def resume_run(
         prior_records=prior,
     )
     run.verify_tail = {int(r["index"]): r for r in tail}
-    try:
-        if store.kind == "dynamic":
-            generator, matcher = _build_dynamic_engine(store)
-            if checkpoint is not None:
-                generator.restore(checkpoint["state"]["generator"])
-                matcher.restore(checkpoint["state"]["matcher"])
-            return _drive_dynamic(run, generator, matcher, start_index=start)
-        if store.kind == "chaos":
-            sim = _build_chaos_simulation(store, run.recorder)
-            if checkpoint is None:
-                sim.emit_run_start()
-            else:
-                sim.simulator.restore_state(checkpoint["state"])
-            return _drive_chaos(run, sim)
-        raise CheckpointError(
-            f"run manifest declares unknown kind {store.kind!r}; this "
-            f"build can resume 'dynamic' and 'chaos' runs"
-        )
-    finally:
-        run.close()
+    return _run_to_completion(run, checkpoint)

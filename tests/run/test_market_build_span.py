@@ -1,0 +1,36 @@
+"""Every spec run builds its market inside a ``market.build`` span."""
+
+from __future__ import annotations
+
+from repro.cli import main
+from repro.obs import MetricsRegistry, Recorder, SpanTracer, use_recorder
+from repro.prof import load_profile
+from repro.run.session import Session, build_market
+from repro.run.spec import MarketSpec, ProfileSpec, RunSpec
+
+
+def test_toy_metrics_list_market_build(capsys):
+    assert main(["toy", "--metrics"]) == 0
+    summary = capsys.readouterr().out.split("-- observability summary --")[1]
+    assert "market.build" in summary
+
+
+def test_toy_profile_lists_market_build(tmp_path):
+    out = str(tmp_path / "prof")
+    spec = RunSpec(
+        command="toy",
+        market=MarketSpec(scenario="toy"),
+        profile=ProfileSpec(profile_out=out, memory=False),
+    )
+    Session(spec).run()
+    names = [row["name"] for row in load_profile(out)["spans"]]
+    assert "market.build" in names
+    assert names[0] == "stage1.mwis"
+
+
+def test_span_is_a_root_on_the_ambient_recorder():
+    recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
+    with use_recorder(recorder):
+        build_market(MarketSpec(buyers=6, sellers=2, seed=1))
+    (record,) = recorder.spans.records
+    assert (record.name, record.depth) == ("market.build", 0)

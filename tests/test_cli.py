@@ -178,7 +178,7 @@ class TestChaosCommand:
         assert "status=degraded" in out
         assert "partition_drops=" in out
 
-    def test_timeout_raise_reports_failure(self, capsys):
+    def test_timeout_raise_reports_failure(self, tmp_path, capsys):
         buyers = ",".join(f"buyer:{j}" for j in range(10))
         assert (
             main(
@@ -187,6 +187,19 @@ class TestChaosCommand:
             )
             == 1
         )
+        assert "run aborted" in capsys.readouterr().out
+        # The durable run, and its resume, report the abort the same way.
+        run_dir = str(tmp_path / "run")
+        assert (
+            main(
+                ["chaos", "--partition", f"{buyers}|rest@4",
+                 "--deadline-slots", "150", "--on-timeout", "raise",
+                 "--checkpoint-dir", run_dir]
+            )
+            == 1
+        )
+        assert "run aborted" in capsys.readouterr().out
+        assert main(["resume", run_dir]) == 1
         assert "run aborted" in capsys.readouterr().out
 
     def test_trace_contains_fault_events(self, tmp_path, capsys):
