@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.market import SpectrumMarket
 from repro.core.matching import Matching
 
@@ -96,34 +98,41 @@ def is_individually_rational(market: SpectrumMarket, matching: Matching) -> bool
     return True
 
 
+def _realised_utilities(market: SpectrumMarket, matching: Matching) -> np.ndarray:
+    """Every buyer's realised utility ``b_{mu(j),j}`` (0 if unmatched)."""
+    assignment = matching.as_assignment()
+    matched = [buyer for buyer, channel in enumerate(assignment) if channel is not None]
+    current = np.zeros(market.num_buyers)
+    current[matched] = market.utilities[matched, [assignment[b] for b in matched]]
+    return current
+
+
 def nash_blocking_moves(
     market: SpectrumMarket, matching: Matching
 ) -> Iterator[NashBlockingMove]:
-    """Yield every profitable unilateral deviation (lazy).
+    """Yield every profitable unilateral deviation (lazy), buyer-major.
 
     A buyer's deviation utility for channel ``i`` is ``b_{i,j}`` when she
     has no interfering neighbour in ``mu(i)`` and zero otherwise; the move
-    blocks iff it strictly exceeds her current realised utility.
+    blocks iff it strictly exceeds her current realised utility.  Each
+    channel's coalition neighbourhood is marked once, so every candidate
+    ``(buyer, channel)`` costs one lookup.
     """
     utilities = market.utilities
-    for buyer in range(market.num_buyers):
-        current_channel = matching.channel_of(buyer)
-        current = matching.buyer_utility(buyer, utilities)
-        for channel in range(market.num_channels):
-            if channel == current_channel:
-                continue
-            gain = float(utilities[buyer, channel])
-            if gain <= current:
-                continue
-            graph = market.graph(channel)
-            if graph.conflicts_with_set(buyer, matching.coalition(channel)):
-                continue
-            yield NashBlockingMove(
-                buyer=buyer,
-                channel=channel,
-                current_utility=current,
-                deviation_utility=gain,
-            )
+    current = _realised_utilities(market, matching)
+    # A buyer's own channel never blocks: its gain equals her utility.
+    blocking = utilities > current[:, None]
+    for channel in range(market.num_channels):
+        blocking[:, channel] &= ~market.graph(channel).conflict_mask(
+            matching.coalition(channel)
+        )
+    for buyer, channel in zip(*np.nonzero(blocking)):
+        yield NashBlockingMove(
+            buyer=int(buyer),
+            channel=int(channel),
+            current_utility=float(current[buyer]),
+            deviation_utility=float(utilities[buyer, channel]),
+        )
 
 
 def is_nash_stable(market: SpectrumMarket, matching: Matching) -> bool:
@@ -145,19 +154,18 @@ def pairwise_blocking_pairs(
     * buyer: ``b_{i,j} > her current realised utility``.
     """
     utilities = market.utilities
+    current = _realised_utilities(market, matching)
     for channel in range(market.num_channels):
-        graph = market.graph(channel)
+        indptr, indices = market.graph(channel).neighbor_csr()
         coalition = matching.coalition(channel)
-        for buyer in range(market.num_buyers):
-            if buyer in coalition:
-                continue
-            price = float(utilities[buyer, channel])
-            current = matching.buyer_utility(buyer, utilities)
-            if price <= current:
-                continue  # buyer would not strictly improve
-            evicted = tuple(
-                sorted(k for k in coalition if graph.interferes(buyer, k))
-            )
+        members = np.zeros(market.num_buyers, dtype=bool)
+        members[list(coalition)] = True
+        prices = utilities[:, channel]
+        # Only buyers outside mu(i) who would strictly improve can block.
+        for buyer in np.flatnonzero((prices > current) & ~members).tolist():
+            row = indices[indptr[buyer] : indptr[buyer + 1]]
+            evicted = tuple(row[members[row]].tolist())
+            price = float(prices[buyer])
             evicted_value = sum(float(utilities[k, channel]) for k in evicted)
             if price <= evicted_value:
                 continue  # seller would not strictly improve
@@ -166,7 +174,7 @@ def pairwise_blocking_pairs(
                 buyer=buyer,
                 evicted=evicted,
                 seller_gain=price - evicted_value,
-                buyer_current=current,
+                buyer_current=float(current[buyer]),
                 buyer_new=price,
             )
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.market import SpectrumMarket
 from repro.core.matching import Matching
@@ -252,19 +252,12 @@ def _transfer_and_invitation_impl(
     # coalitions, dropping duplicates while preserving first-seen order.
     screened: List[List[int]] = []
     for channel in range(market.num_channels):
-        graph = market.graph(channel)
-        coalition = mu.coalition(channel)
-        seen: Set[int] = set()
-        keep: List[int] = []
-        for j in invitation_lists[channel]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if j in coalition:
-                continue
-            if not graph.conflicts_with_set(j, coalition):
-                keep.append(j)
-        screened.append(keep)
+        listed = list(dict.fromkeys(invitation_lists[channel]))
+        if listed:
+            coalition = mu.coalition(channel)
+            blocked = market.graph(channel).conflict_mask(coalition)
+            listed = [j for j in listed if j not in coalition and not blocked[j]]
+        screened.append(listed)
 
     invitation_rounds: List[InvitationRound] = []
     num_invitation_rounds = 0
@@ -301,9 +294,8 @@ def _transfer_and_invitation_impl(
                         (j, previous if previous is not None else -1, channel)
                     )
                     # Line 29: drop the new member's interfering neighbours.
-                    screened[channel] = [
-                        k for k in pool if not graph.interferes(j, k)
-                    ]
+                    near = graph.conflict_mask((j,))
+                    screened[channel] = [k for k in pool if not near[k]]
                 else:
                     declined.append((channel, j))
 

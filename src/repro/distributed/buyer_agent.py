@@ -174,7 +174,8 @@ class BuyerAgent(Agent):
         if self.current_channel is None:
             return False
         channel = self.current_channel
-        neighbors = self._market.graph(channel).neighbors(self.buyer)
+        indptr, indices = self._market.graph(channel).neighbor_csr()
+        neighbors = indices[indptr[self.buyer] : indptr[self.buyer + 1]].tolist()
         unseen = [k for k in neighbors if k not in self._proposers_at_current]
         if rule is BuyerTransitionRule.NEIGHBORS_PROPOSED:
             return not unseen

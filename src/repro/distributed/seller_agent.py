@@ -215,12 +215,8 @@ class SellerAgent(Agent):
             cheapest = min(
                 self.waitlist, key=lambda j: (float(self._prices[j]), j)
             )
-            others = self.waitlist - {cheapest}
-            compatible = sum(
-                1
-                for j in unseen
-                if not self._graph.conflicts_with_set(j, others)
-            )
+            blocked = self._graph.conflict_mask(self.waitlist - {cheapest})
+            compatible = sum(1 for j in unseen if not blocked[j])
             theta = compatible / len(unseen) if unseen else 0.0
             risk = better_proposal_probability(
                 round_index=now + 1,
@@ -317,9 +313,8 @@ class SellerAgent(Agent):
             )
         self.waitlist.add(buyer)
         # Algorithm 2, line 29: drop the new member's interfering neighbours.
-        self._invitation_list = [
-            k for k in self._invitation_list if not self._graph.interferes(buyer, k)
-        ]
+        near = self._graph.conflict_mask((buyer,))
+        self._invitation_list = [k for k in self._invitation_list if not near[k]]
 
     def _phase2(
         self, proposals: List[int], applications: List[int], ctx: SlotContext

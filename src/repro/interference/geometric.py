@@ -9,23 +9,38 @@ disk radius per channel* to capture spectrum heterogeneity (following
 TAMES [7]).
 
 This module turns ``(locations, ranges)`` into an
-:class:`~repro.interference.graph.InterferenceMap`.
+:class:`~repro.interference.graph.InterferenceMap` with one builder,
+:func:`build_geometric_interference_map`.  The locations are shared by
+every channel, so the channels' graphs are nested in radius: each edge of
+a channel is an edge of every channel with a wider range.  The builder
+therefore queries a KD-tree once, at the largest range, for candidate
+pairs, and then visits the channels in descending range, each keeping the
+pairs of the previous one that lie within its own range.  The tree only
+proposes pairs; every edge is decided by the disk predicate
+``dx*dx + dy*dy <= r**2`` in float64.  Each channel's CSR neighbour index
+comes straight out of the sorted pair arrays, in ``O(E)`` memory.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.errors import MarketConfigurationError
 from repro.interference.graph import InterferenceGraph, InterferenceMap
 
 __all__ = [
     "disk_interference_graph",
-    "sparse_disk_interference_graph",
     "build_geometric_interference_map",
 ]
+
+#: Relative slack on the KD-tree's query radius.  The tree computes
+#: distances in its own way, so it is asked for a slightly wider disk than
+#: the largest range; the exact predicate then drops the extra pairs.
+_QUERY_SLACK = 1e-9
 
 
 def _as_location_array(locations: Sequence[Tuple[float, float]]) -> np.ndarray:
@@ -34,7 +49,23 @@ def _as_location_array(locations: Sequence[Tuple[float, float]]) -> np.ndarray:
         raise MarketConfigurationError(
             f"locations must be an (N, 2) array of planar points, got shape {array.shape}"
         )
+    finite = np.isfinite(array)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise MarketConfigurationError(
+            f"location of buyer {row} must be finite, got coordinate "
+            f"{array[row, col]}"
+        )
     return array
+
+
+def _as_range(transmission_range: float) -> float:
+    radius = float(transmission_range)
+    if not radius > 0:  # also rejects NaN
+        raise MarketConfigurationError(
+            f"transmission_range must be positive, got {transmission_range}"
+        )
+    return radius
 
 
 def disk_interference_graph(
@@ -44,7 +75,8 @@ def disk_interference_graph(
     """Build one channel's interference graph under the disk model.
 
     Two buyers interfere on the channel iff the Euclidean distance between
-    their locations is at most ``transmission_range``.
+    their locations is at most ``transmission_range``.  This is the
+    one-channel call of :func:`build_geometric_interference_map`.
 
     Parameters
     ----------
@@ -53,59 +85,19 @@ def disk_interference_graph(
     transmission_range:
         The channel's interference radius; must be positive.
     """
-    if transmission_range <= 0:
-        raise MarketConfigurationError(
-            f"transmission_range must be positive, got {transmission_range}"
-        )
-    points = _as_location_array(locations)
-    n = points.shape[0]
-    if n == 0:
-        return InterferenceGraph(0)
-    # Pairwise squared distances without scipy.spatial (kept dependency-light
-    # and fast enough for the paper's N <= a few thousand).
-    deltas = points[:, None, :] - points[None, :, :]
-    sq_dist = np.einsum("ijk,ijk->ij", deltas, deltas)
-    adjacency = sq_dist <= float(transmission_range) ** 2
-    np.fill_diagonal(adjacency, False)
-    return InterferenceGraph.from_adjacency_matrix(adjacency)
+    return build_geometric_interference_map(locations, [transmission_range])[0]
 
 
-def sparse_disk_interference_graph(
-    locations: Sequence[Tuple[float, float]],
-    transmission_range: float,
-) -> InterferenceGraph:
-    """Disk-model graph without the ``O(N^2)`` distance matrix.
-
-    :func:`disk_interference_graph` materialises all-pairs distances,
-    which at the scalability bench's ``N = 50k-100k`` would need tens of
-    gigabytes.  This variant finds the in-range pairs with a KD-tree
-    (``scipy.spatial.cKDTree.query_pairs``) and builds the graph from
-    the edge arrays directly -- ``O(E)`` memory -- producing the exact
-    same graph (the disk predicate ``dist <= r`` is evaluated on the
-    same coordinates either way).  Requires :mod:`scipy`; callers that
-    must stay dependency-light keep using the dense builder.
-    """
-    if transmission_range <= 0:
-        raise MarketConfigurationError(
-            f"transmission_range must be positive, got {transmission_range}"
-        )
-    try:
-        from scipy.spatial import cKDTree
-    except ImportError as exc:  # pragma: no cover - scipy is baked in
-        raise MarketConfigurationError(
-            "sparse_disk_interference_graph requires scipy; use "
-            "disk_interference_graph instead"
-        ) from exc
-    points = _as_location_array(locations)
-    n = points.shape[0]
-    if n == 0:
-        return InterferenceGraph(0)
+def _candidate_pairs(points: np.ndarray, r_max: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Pairs ``i < j`` that may lie within ``r_max`` (a superset)."""
+    if math.isinf(r_max * r_max):
+        # Every pair passes the widest channel's predicate.
+        i, j = np.triu_indices(points.shape[0], k=1)
+        return i.astype(np.int64), j.astype(np.int64)
     pairs = cKDTree(points).query_pairs(
-        float(transmission_range), output_type="ndarray"
+        r_max * (1.0 + _QUERY_SLACK), output_type="ndarray"
     )
-    return InterferenceGraph.from_edge_arrays(
-        n, pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
-    )
+    return pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
 
 
 def build_geometric_interference_map(
@@ -114,18 +106,52 @@ def build_geometric_interference_map(
 ) -> InterferenceMap:
     """Build the per-channel interference family from a deployment.
 
+    Runs under an ``interference.build`` span on the ambient recorder (a
+    no-op on the null recorder).
+
     Parameters
     ----------
     locations:
-        ``(N, 2)`` planar coordinates of the virtual buyers.
+        ``(N, 2)`` finite planar coordinates of the virtual buyers.
     transmission_ranges:
-        One positive radius per channel.  Channels with larger radii yield
-        denser graphs (less spatial reuse), reproducing the paper's channel
-        heterogeneity.
+        One positive radius per channel (``inf`` makes every pair
+        interfere).  Channels with larger radii yield denser graphs (less
+        spatial reuse), reproducing the paper's channel heterogeneity.
     """
+    from repro.obs.recorder import get_recorder
+
     ranges = list(transmission_ranges)
     if not ranges:
         raise MarketConfigurationError("at least one channel transmission range is required")
     points = _as_location_array(locations)
-    graphs = [disk_interference_graph(points, r) for r in ranges]
-    return InterferenceMap(graphs)
+    ranges = [_as_range(r) for r in ranges]
+    n = points.shape[0]
+    with get_recorder().span("interference.build"):
+        if n < 2:
+            return InterferenceMap([InterferenceGraph(n) for _ in ranges])
+        first, second = _candidate_pairs(points, max(ranges))
+        # Both directions of every pair, sorted by (node, neighbour): the
+        # row-major order of a CSR index.  Squared distances are computed
+        # once, on the sorted pairs, with the same float64 operations for
+        # every channel.
+        keys = np.concatenate([first * n + second, second * n + first])
+        del first, second
+        keys.sort()
+        src = keys // n
+        dst = (keys - src * n).astype(np.int32)
+        del keys
+        dx = points[src, 0] - points[dst, 0]
+        dy = points[src, 1] - points[dst, 1]
+        sq_dist = dx * dx + dy * dy
+        del dx, dy
+        rows = np.arange(n + 1)
+        graphs = {}
+        # Widest range first: each channel filters the survivors of the
+        # previous one, which keeps every row ascending.
+        for channel in sorted(range(len(ranges)), key=lambda c: -ranges[c]):
+            within = sq_dist <= ranges[channel] ** 2
+            if not within.all():
+                src, dst, sq_dist = src[within], dst[within], sq_dist[within]
+            indptr = np.searchsorted(src, rows).astype(np.int64)
+            graphs[channel] = InterferenceGraph._from_csr(n, indptr, dst)
+    return InterferenceMap([graphs[channel] for channel in range(len(ranges))])

@@ -6,25 +6,89 @@ virtual buyers and whose edges join pairs of buyers that would interfere if
 they operated on channel ``i`` at the same time.  ``e^i_{j,j'} = 1`` denotes
 such an edge.
 
-:class:`InterferenceGraph` stores one channel's graph as adjacency sets over
-integer buyer identifiers and exposes the queries the matching algorithms
-need: pairwise interference, neighbourhoods, and independence of candidate
-coalitions.  For the batched Stage-I kernel it also carries two array
-forms: a CSR neighbour index (built up front by the array constructors,
-lazily otherwise) and packed bit rows derived from it on demand.
+:class:`InterferenceGraph` stores one channel's graph in a single form, a
+CSR neighbour index: ``indices[indptr[j]:indptr[j + 1]]`` lists buyer
+``j``'s interfering neighbours in ascending order.  Every query reads
+slices of that index.  Pairwise interference is a binary search in one
+row.  A coalition-level query marks the coalition's neighbourhood in a
+membership mask once, after which each candidate costs one lookup.  The
+dense packed bit rows are derived from the index on demand; they feed the
+batched Stage-I kernel and, on graphs of up to
+:data:`PACKED_QUERY_MAX_BUYERS` buyers, the coalition masks.
 :class:`InterferenceMap` bundles the per-channel family and enforces that
 every graph covers the same buyer population.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from bisect import bisect_left
+from typing import (
+    TYPE_CHECKING,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Tuple,
+)
 
-import networkx as nx
+import numpy as np
 
 from repro.errors import MarketConfigurationError
 
-__all__ = ["InterferenceGraph", "InterferenceMap"]
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported on use only
+    import networkx as nx
+
+__all__ = ["InterferenceGraph", "InterferenceMap", "PACKED_QUERY_MAX_BUYERS"]
+
+#: Coalition queries on graphs of at most this many buyers read the packed
+#: bit rows (at most 512 bytes a row), which the dense Stage-I layout
+#: derives at the same sizes; above it they gather CSR rows, whose cost
+#: grows with degree but whose memory stays ``O(E)``.
+PACKED_QUERY_MAX_BUYERS = 4096
+
+
+def _canonical_csr(num_buyers: int, u: np.ndarray, v: np.ndarray):
+    """Validate undirected edges ``(u[i], v[i])`` and index them as CSR.
+
+    Pairs are symmetrised, sorted by ``(node, neighbour)`` and
+    deduplicated, so every graph over the same edge set gets the same
+    ``(int64 indptr, ascending int32 indices)`` whatever the input order.
+    """
+    bad = (u < 0) | (u >= num_buyers) | (v < 0) | (v >= num_buyers)
+    if bad.any():
+        at = int(np.flatnonzero(bad)[0])
+        raise MarketConfigurationError(
+            f"edge ({u[at]}, {v[at]}) has a buyer index out of range "
+            f"[0, {num_buyers})"
+        )
+    loops = u == v
+    if loops.any():
+        at = int(np.flatnonzero(loops)[0])
+        raise MarketConfigurationError(
+            f"self-interference edge ({u[at]}, {v[at]}) is not allowed"
+        )
+    keys = np.unique(np.concatenate([u * num_buyers + v, v * num_buyers + u]))
+    # Any edge makes num_buyers positive; with none, keys is empty.
+    src = keys // max(num_buyers, 1)
+    indptr = np.searchsorted(src, np.arange(num_buyers + 1)).astype(np.int64)
+    return indptr, (keys - src * num_buyers).astype(np.int32)
+
+
+def _as_set(buyers: Iterable[int]):
+    return buyers if isinstance(buyers, (set, frozenset)) else set(buyers)
+
+
+def _pair_array(edges: Iterable[Tuple[int, int]]) -> np.ndarray:
+    """An edge iterable as an ``(E, 2)`` int64 array of buyer ids."""
+    pairs = np.asarray(list(edges))
+    if pairs.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise MarketConfigurationError(
+            "edges must be (j, k) pairs of integer buyer indices"
+        )
+    return pairs.astype(np.int64, copy=False)
 
 
 class InterferenceGraph:
@@ -47,73 +111,28 @@ class InterferenceGraph:
     caches.
     """
 
-    __slots__ = ("_num_buyers", "_adjacency", "_csr", "_packed")
+    __slots__ = ("_num_buyers", "_csr", "_packed")
 
     def __init__(self, num_buyers: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
         if num_buyers < 0:
             raise MarketConfigurationError(
                 f"num_buyers must be non-negative, got {num_buyers}"
             )
+        pairs = _pair_array(edges)
         self._num_buyers = int(num_buyers)
-        adjacency: List[Set[int]] = [set() for _ in range(self._num_buyers)]
-        for j, k in edges:
-            self._check_node(j)
-            self._check_node(k)
-            if j == k:
-                raise MarketConfigurationError(
-                    f"self-interference edge ({j}, {k}) is not allowed"
-                )
-            adjacency[j].add(k)
-            adjacency[k].add(j)
-        self._adjacency: Tuple[FrozenSet[int], ...] = tuple(
-            frozenset(neighbours) for neighbours in adjacency
-        )
-        self._csr = None
+        self._csr = _canonical_csr(self._num_buyers, pairs[:, 0], pairs[:, 1])
         self._packed = None
 
     @classmethod
-    def from_adjacency_matrix(cls, matrix) -> "InterferenceGraph":
-        """Build a graph from a boolean adjacency matrix (vectorised path).
-
-        ``matrix`` must be square and symmetric with a zero diagonal.  This
-        constructor skips the per-edge Python loop, which matters for
-        large geometric deployments (thousands of buyers, millions of
-        edges).  One ``np.flatnonzero`` over the matrix yields the CSR
-        neighbour index directly (row-major flat positions modulo ``N``
-        are each node's neighbour ids, ascending), so :meth:`neighbor_csr`
-        is free afterwards.
-        """
-        import numpy as np
-
-        matrix = np.asarray(matrix, dtype=bool)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise MarketConfigurationError(
-                f"adjacency matrix must be square, got shape {matrix.shape}"
-            )
-        if matrix.diagonal().any():
-            raise MarketConfigurationError(
-                "adjacency matrix must have a zero diagonal (no self-loops)"
-            )
-        if not np.array_equal(matrix, matrix.T):
-            raise MarketConfigurationError("adjacency matrix must be symmetric")
-        num_buyers = matrix.shape[0]
-        indices = (np.flatnonzero(matrix) % num_buyers).astype(np.int32)
-        return cls._from_csr(num_buyers, np.count_nonzero(matrix, axis=1), indices)
-
-    @classmethod
     def from_edge_arrays(cls, num_buyers: int, u, v) -> "InterferenceGraph":
-        """Build a graph from parallel edge-endpoint arrays (sparse path).
+        """Build a graph from parallel edge-endpoint arrays (vectorised path).
 
         ``u`` and ``v`` are equal-length integer arrays; each position is
-        one undirected edge ``(u[i], v[i])``.  Unlike
-        :meth:`from_adjacency_matrix` this never materialises an ``N x N``
-        matrix, so it is the constructor of choice for large sparse
-        geometric deployments (``N`` in the tens of thousands).  The CSR
-        neighbour index is built directly from the arrays, so
-        :meth:`neighbor_csr` is free afterwards.
+        one undirected edge ``(u[i], v[i])``.  Reversed and duplicated
+        pairs merge, and out-of-range endpoints and self-loops are
+        rejected, exactly as with the edge-iterable constructor; no
+        per-edge Python work is done.
         """
-        import numpy as np
-
         if num_buyers < 0:
             raise MarketConfigurationError(
                 f"num_buyers must be non-negative, got {num_buyers}"
@@ -124,54 +143,18 @@ class InterferenceGraph:
             raise MarketConfigurationError(
                 f"edge arrays must have equal length, got {u.size} and {v.size}"
             )
-        if u.size:
-            lo = min(int(u.min()), int(v.min()))
-            hi = max(int(u.max()), int(v.max()))
-            if lo < 0 or hi >= num_buyers:
-                raise MarketConfigurationError(
-                    f"edge endpoint out of range [0, {num_buyers})"
-                )
-            if bool((u == v).any()):
-                raise MarketConfigurationError(
-                    "self-interference edges are not allowed"
-                )
-        # Symmetrise, sort lexicographically by (node, neighbour) and
-        # deduplicate to get a canonical CSR layout with ascending
-        # neighbour lists per node.
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if src.size:
-            keep = np.empty(src.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(src[1:], src[:-1], out=keep[1:])
-            keep[1:] |= dst[1:] != dst[:-1]
-            src, dst = src[keep], dst[keep]
-        return cls._from_csr(
-            num_buyers,
-            np.bincount(src, minlength=num_buyers),
-            dst.astype(np.int32),
-        )
+        return cls._from_csr(num_buyers, *_canonical_csr(int(num_buyers), u, v))
 
     @classmethod
-    def _from_csr(cls, num_buyers: int, counts, indices) -> "InterferenceGraph":
-        """Finish a vectorised build from a CSR neighbour index.
+    def _from_csr(cls, num_buyers: int, indptr, indices) -> "InterferenceGraph":
+        """Wrap a canonical CSR neighbour index without copying or checks.
 
-        ``counts[j]`` is node ``j``'s degree and ``indices`` lists every
-        node's neighbours in ascending order, node after node; it becomes
-        the CSR neighbour array as-is.
+        ``indptr`` is int64 of length ``num_buyers + 1`` and ``indices``
+        int32, every row ascending, symmetric and free of self-loops --
+        what :func:`_canonical_csr` and the geometric builder produce.
         """
-        import numpy as np
-
-        indptr = np.zeros(num_buyers + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
         graph = cls.__new__(cls)
         graph._num_buyers = int(num_buyers)
-        # np.split always returns at least one chunk, so an empty graph
-        # needs its own case.
-        chunks = np.split(indices, indptr[1:-1].tolist()) if num_buyers else []
-        graph._adjacency = tuple(frozenset(chunk.tolist()) for chunk in chunks)
         graph._csr = (indptr, indices)
         graph._packed = None
         return graph
@@ -181,6 +164,42 @@ class InterferenceGraph:
             raise MarketConfigurationError(
                 f"buyer index {j} out of range [0, {self._num_buyers})"
             )
+
+    def _row(self, j: int) -> np.ndarray:
+        """Buyer ``j``'s neighbours, ascending (a view into the index)."""
+        indptr, indices = self._csr
+        return indices[indptr[j] : indptr[j + 1]]
+
+    def _member_array(self, buyers: Iterable[int]) -> np.ndarray:
+        """Distinct buyer ids as an int64 array (validates indices)."""
+        distinct = _as_set(buyers)
+        members = np.fromiter(distinct, dtype=np.int64, count=len(distinct))
+        bad = members[(members < 0) | (members >= self._num_buyers)]
+        if bad.size:
+            self._check_node(int(bad[0]))
+        return members
+
+    def _neighbourhood(self, members: np.ndarray) -> np.ndarray:
+        """Bool mask of every neighbour of ``members``.
+
+        Small graphs OR the members' packed bit rows, whose cost does not
+        grow with degree; larger ones gather the members' CSR rows.
+        """
+        n = self._num_buyers
+        if n <= PACKED_QUERY_MAX_BUYERS:
+            words = np.bitwise_or.reduce(self.packed_rows()[members], axis=0)
+            return np.unpackbits(
+                words.view(np.uint8), count=n, bitorder="little"
+            ).view(bool)
+        indptr, indices = self._csr
+        starts = indptr[members]
+        lengths = indptr[members + 1] - starts
+        # Each gathered position is its row's start plus its offset in the
+        # row: shift every row's run of aranges by start - run offset.
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        mask = np.zeros(n, dtype=bool)
+        mask[indices[np.arange(shift.size) + shift]] = True
+        return mask
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -193,55 +212,53 @@ class InterferenceGraph:
     @property
     def num_edges(self) -> int:
         """Number of interference edges."""
-        return sum(len(neighbours) for neighbours in self._adjacency) // 2
+        return int(self._csr[0][-1]) // 2
+
+    def _edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every edge once as parallel arrays ``(j, k)``, ``j < k``, ascending."""
+        indptr, indices = self._csr
+        src = np.repeat(np.arange(self._num_buyers, dtype=np.int64), np.diff(indptr))
+        upper = src < indices
+        return src[upper], indices[upper]
 
     def edges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over edges as sorted ``(j, k)`` tuples with ``j < k``."""
-        for j, neighbours in enumerate(self._adjacency):
-            for k in neighbours:
-                if j < k:
-                    yield (j, k)
+        """Iterate over edges as ``(j, k)`` tuples with ``j < k``, ascending."""
+        u, v = self._edge_arrays()
+        return zip(u.tolist(), v.tolist())
 
     def interferes(self, j: int, k: int) -> bool:
         """Return ``True`` iff buyers ``j`` and ``k`` interfere (``e_{j,k}=1``)."""
         self._check_node(j)
         self._check_node(k)
-        return k in self._adjacency[j]
+        indptr, indices = self._csr
+        row = memoryview(indices)
+        end = int(indptr[j + 1])
+        at = bisect_left(row, k, int(indptr[j]), end)
+        return at < end and row[at] == int(k)
 
     def neighbors(self, j: int) -> FrozenSet[int]:
-        """Return the interfering neighbours of buyer ``j``."""
+        """Return the interfering neighbours of buyer ``j``.
+
+        Built from the CSR row on every call; hot paths read
+        :meth:`neighbor_csr` or :meth:`conflict_mask` instead.
+        """
         self._check_node(j)
-        return self._adjacency[j]
+        return frozenset(self._row(j).tolist())
 
     def degree(self, j: int) -> int:
         """Number of interfering neighbours of buyer ``j``."""
-        return len(self.neighbors(j))
+        self._check_node(j)
+        indptr = self._csr[0]
+        return int(indptr[j + 1] - indptr[j])
 
     def neighbor_csr(self):
         """Per-node neighbour lists in CSR form: ``(indptr, indices)``.
 
         ``indices[indptr[j]:indptr[j + 1]]`` is buyer ``j``'s neighbour
-        set as an ascending ``int32`` array.  This is the zero-copy,
-        array-native view the struct-of-arrays Stage-I path consumes when
-        linking pool arrivals into the packed adjacency rows.  The
-        vectorised constructors build it up front; for graphs built from
-        an edge iterable it is built lazily from the adjacency sets and
-        cached for the graph's lifetime.
+        set as an ascending ``int32`` array; ``indptr`` is ``int64``.
+        This is the graph's only stored adjacency, returned as-is (treat
+        it as read-only).
         """
-        if self._csr is None:
-            import numpy as np
-
-            n = self._num_buyers
-            counts = [len(nbrs) for nbrs in self._adjacency]
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.asarray(counts, dtype=np.int64), out=indptr[1:])
-            indices = np.empty(int(indptr[-1]), dtype=np.int32)
-            for j, nbrs in enumerate(self._adjacency):
-                if nbrs:
-                    chunk = np.fromiter(nbrs, dtype=np.int32, count=len(nbrs))
-                    chunk.sort()
-                    indices[indptr[j] : indptr[j + 1]] = chunk
-            self._csr = (indptr, indices)
         return self._csr
 
     def packed_rows(self):
@@ -255,11 +272,9 @@ class InterferenceGraph:
         for the graph's lifetime.
         """
         if self._packed is None:
-            import numpy as np
-
             n = self._num_buyers
             words = (n + 63) // 64 if n else 1
-            indptr, indices = self.neighbor_csr()
+            indptr, indices = self._csr
             bits = np.zeros((n, words * 64), dtype=bool)
             if indices.size:
                 src = np.repeat(
@@ -274,6 +289,16 @@ class InterferenceGraph:
     # ------------------------------------------------------------------
     # Coalition-level queries
     # ------------------------------------------------------------------
+    def conflict_mask(self, buyers: Iterable[int]) -> np.ndarray:
+        """Mark every buyer that interferes with some member of ``buyers``.
+
+        Returns a boolean array of length ``N``.  The members' CSR rows are
+        gathered once, so afterwards "does ``j`` interfere with anyone in
+        the coalition?" is the single lookup ``mask[j]`` (a member is
+        marked only if it interferes with another member).
+        """
+        return self._neighbourhood(self._member_array(buyers))
+
     def is_independent(self, buyers: Iterable[int]) -> bool:
         """Return ``True`` iff no two buyers in ``buyers`` interfere.
 
@@ -281,45 +306,49 @@ class InterferenceGraph:
         satisfy to be preferred by its seller (eq. 6) and for its members to
         obtain non-zero utility (eq. 5).
         """
-        chosen = list(buyers)
-        chosen_set = set(chosen)
-        if len(chosen_set) != len(chosen):
+        chosen = buyers if isinstance(buyers, (set, frozenset)) else list(buyers)
+        members = self._member_array(chosen)
+        if members.size != len(chosen):
             # A buyer listed twice trivially "interferes with herself" in the
             # dummy-expansion sense: the same buyer cannot hold one channel
             # twice.
             return False
-        for j in chosen_set:
-            if not chosen_set.isdisjoint(self._adjacency[j]):
-                return False
-        return True
+        return members.size < 2 or not self._neighbourhood(members)[members].any()
 
     def conflicts_with_set(self, j: int, buyers: Iterable[int]) -> bool:
-        """Return ``True`` iff buyer ``j`` interferes with anyone in ``buyers``."""
+        """Return ``True`` iff buyer ``j`` interferes with anyone in ``buyers``.
+
+        One pass over ``j``'s CSR row (``j`` itself is never in it); for
+        many candidates against one coalition use :meth:`conflict_mask`.
+        """
         self._check_node(j)
-        neighbours = self._adjacency[j]
-        return any(k in neighbours for k in buyers if k != j)
+        return not _as_set(buyers).isdisjoint(self._row(j).tolist())
 
     def independent_subset_greedily_compatible(
         self, anchor: Iterable[int], candidates: Sequence[int]
     ) -> List[int]:
         """Filter ``candidates`` down to those compatible with ``anchor``.
 
-        Returns the candidates that do not interfere with any buyer in
-        ``anchor`` (candidates may still interfere with *each other*; that
-        is resolved by the MWIS solver).
+        Returns the candidates, in order, that are not in ``anchor`` and do
+        not interfere with any buyer in it (candidates may still interfere
+        with *each other*; that is resolved by the MWIS solver).
         """
+        candidates = list(candidates)
+        for j in candidates:
+            self._check_node(j)
+        if not candidates:
+            return []
         anchor_set = set(anchor)
-        return [
-            j
-            for j in candidates
-            if j not in anchor_set and not self.conflicts_with_set(j, anchor_set)
-        ]
+        blocked = self.conflict_mask(anchor_set)
+        return [j for j in candidates if j not in anchor_set and not blocked[j]]
 
     # ------------------------------------------------------------------
     # Interop / dunder
     # ------------------------------------------------------------------
     def to_networkx(self) -> "nx.Graph":
         """Export the graph to :class:`networkx.Graph` (nodes ``0..N-1``)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self._num_buyers))
         graph.add_edges_from(self.edges())
@@ -344,11 +373,13 @@ class InterferenceGraph:
             return NotImplemented
         return (
             self._num_buyers == other._num_buyers
-            and self._adjacency == other._adjacency
+            and np.array_equal(self._csr[0], other._csr[0])
+            and np.array_equal(self._csr[1], other._csr[1])
         )
 
     def __hash__(self) -> int:
-        return hash((self._num_buyers, self._adjacency))
+        indptr, indices = self._csr
+        return hash((self._num_buyers, indptr.tobytes(), indices.tobytes()))
 
     def __repr__(self) -> str:
         return (
@@ -427,15 +458,18 @@ class InterferenceMap:
         from the same physical buyer must never share a channel, which the
         paper encodes by making them interfering neighbours everywhere.
         """
-        clique_edges = [
-            (buyers[a], buyers[b])
-            for a in range(len(buyers))
-            for b in range(a + 1, len(buyers))
-        ]
+        members = np.asarray(list(buyers), dtype=np.int64)
+        first, second = np.triu_indices(members.size, k=1)
         new_graphs = []
         for graph in self._graphs:
-            edges = list(graph.edges()) + clique_edges
-            new_graphs.append(InterferenceGraph(graph.num_buyers, edges))
+            u, v = graph._edge_arrays()
+            new_graphs.append(
+                InterferenceGraph.from_edge_arrays(
+                    graph.num_buyers,
+                    np.concatenate([u, members[first]]),
+                    np.concatenate([v, members[second]]),
+                )
+            )
         return InterferenceMap(new_graphs)
 
     def density(self, channel: int) -> float:

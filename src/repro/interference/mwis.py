@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, Iterable, List, Mapping, Set
 
-from repro.errors import SolverError, SolverLimitExceeded
+from repro.errors import MarketConfigurationError, SolverError, SolverLimitExceeded
 from repro.interference.graph import InterferenceGraph
 
 __all__ = [
@@ -73,11 +73,18 @@ class MwisAlgorithm(str, enum.Enum):
 def _induced_adjacency(
     graph: InterferenceGraph, nodes: Iterable[int]
 ) -> Dict[int, Set[int]]:
-    """Adjacency of the subgraph induced by ``nodes`` (validates indices)."""
+    """Adjacency of the subgraph induced by ``nodes`` (validates indices).
+
+    Each member's CSR row is intersected with the node set directly.
+    """
     node_set = set(nodes)
+    n = graph.num_buyers
+    indptr, indices = graph.neighbor_csr()
     adjacency: Dict[int, Set[int]] = {}
     for j in node_set:
-        adjacency[j] = set(graph.neighbors(j)) & node_set
+        if not 0 <= j < n:
+            raise MarketConfigurationError(f"buyer index {j} out of range [0, {n})")
+        adjacency[j] = node_set.intersection(indices[indptr[j] : indptr[j + 1]].tolist())
     return adjacency
 
 

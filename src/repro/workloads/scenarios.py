@@ -181,19 +181,17 @@ def sparse_simulation_market(
 
     :func:`paper_simulation_market` keeps the paper's fixed ``10 x 10``
     area, so pushing ``N`` to the tens of thousands makes every disk
-    cover a constant *fraction* of the buyers -- ``O(N^2)`` edges and an
-    ``O(N^2)`` distance matrix.  Scalability runs instead hold the
+    cover a constant *fraction* of the buyers -- ``O(N^2)`` edges.
+    Scalability runs instead hold the
     spatial buyer *density* fixed (``area_side = sqrt(N / density)``),
     which keeps expected interference degree bounded (at most
-    ``density * pi * max_range^2``) while ``N`` grows, and build each
-    channel's graph through the KD-tree sparse path
-    (:func:`~repro.interference.geometric.sparse_disk_interference_graph`,
-    ``O(E)`` memory).  Everything else follows Section V-A: uniform
+    ``density * pi * max_range^2``) while ``N`` grows; the map builder
+    (:func:`~repro.interference.geometric.build_geometric_interference_map`)
+    is ``O(E)`` in memory.  Everything else follows Section V-A: uniform
     locations, per-channel ranges uniform on ``(0, max_range]``, i.i.d.
-    U[0,1] utilities.
+    U[0,1] utilities, drawn in that order.
     """
-    from repro.interference.geometric import sparse_disk_interference_graph
-    from repro.interference.graph import InterferenceMap
+    from repro.interference.geometric import build_geometric_interference_map
     from repro.workloads.deployment import random_transmission_ranges
 
     if density <= 0:
@@ -203,9 +201,7 @@ def sparse_simulation_market(
     ranges = random_transmission_ranges(
         num_channels, rng, max_range=max_range
     )
-    interference = InterferenceMap(
-        [sparse_disk_interference_graph(locations, r) for r in ranges]
-    )
+    interference = build_geometric_interference_map(locations, ranges)
     utilities = iid_uniform_utilities(num_buyers, num_channels, rng)
     return SpectrumMarket(
         utilities, interference, mwis_algorithm=mwis_algorithm

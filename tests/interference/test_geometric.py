@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MarketConfigurationError
 from repro.interference.geometric import (
     build_geometric_interference_map,
     disk_interference_graph,
-    sparse_disk_interference_graph,
 )
+from repro.interference.graph import InterferenceGraph
 
 
 class TestDiskGraph:
@@ -75,32 +79,100 @@ class TestGeometricMap:
             build_geometric_interference_map([(0.0, 0.0)], [])
 
 
-class TestSparseDiskGraph:
-    """The KD-tree builder must produce the *same graph* as the dense one."""
+class TestNonFiniteGeometry:
+    """Non-finite input fails loudly instead of yielding a wrong graph."""
 
-    @pytest.mark.parametrize("transmission_range", [0.5, 2.0, 5.0])
-    def test_identical_to_dense_builder(self, rng, transmission_range):
-        locations = rng.uniform(0, 10, size=(120, 2))
-        dense = disk_interference_graph(locations, transmission_range)
-        sparse = sparse_disk_interference_graph(locations, transmission_range)
-        assert sparse.num_buyers == dense.num_buyers
-        assert sparse.num_edges == dense.num_edges
-        for node in range(dense.num_buyers):
-            assert sorted(sparse.neighbors(node)) == sorted(
-                dense.neighbors(node)
-            )
+    def test_nan_range_rejected(self):
+        with pytest.raises(MarketConfigurationError, match="nan"):
+            build_geometric_interference_map([(0.0, 0.0), (1.0, 0.0)], [1.0, math.nan])
 
-    def test_boundary_distance_included(self):
-        # dist == r is an edge under the disk model, both builders.
-        locations = [(0.0, 0.0), (2.0, 0.0)]
-        assert sparse_disk_interference_graph(locations, 2.0).interferes(0, 1)
-        assert not sparse_disk_interference_graph(locations, 1.99).interferes(
-            0, 1
+    def test_nan_coordinate_rejected(self):
+        with pytest.raises(MarketConfigurationError, match="nan"):
+            build_geometric_interference_map([(0.0, 0.0), (math.nan, 1.0)], [2.0])
+
+    def test_infinite_coordinate_rejected(self):
+        with pytest.raises(MarketConfigurationError, match="inf"):
+            build_geometric_interference_map([(0.0, -math.inf), (0.0, 1.0)], [2.0])
+
+    def test_infinite_range_makes_everyone_interfere(self):
+        points = [(0.0, 0.0), (1e6, 0.0), (0.0, -1e9)]
+        graph = build_geometric_interference_map(points, [math.inf])[0]
+        assert graph.num_edges == 3
+
+
+# ----------------------------------------------------------------------
+# Differential: the one builder against an all-pairs reference
+# ----------------------------------------------------------------------
+def reference_csr(points: np.ndarray, transmission_range: float):
+    """Disk graph CSR from the full N x N squared-distance matrix."""
+    n = points.shape[0]
+    deltas = points[:, None, :] - points[None, :, :]
+    sq_dist = np.einsum("ijk,ijk->ij", deltas, deltas)
+    adjacency = sq_dist <= float(transmission_range) ** 2
+    np.fill_diagonal(adjacency, False)
+    assert np.array_equal(adjacency, adjacency.T)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(adjacency, axis=1), out=indptr[1:])
+    indices = (np.flatnonzero(adjacency) % max(n, 1)).astype(np.int32)
+    return indptr, indices
+
+
+def assert_matches_reference(points, ranges) -> None:
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = points.shape[0]
+    imap = build_geometric_interference_map(points, ranges)
+    assert imap.num_channels == len(ranges)
+    for channel, radius in enumerate(ranges):
+        graph = imap[channel]
+        want_ptr, want_idx = reference_csr(points, radius)
+        got_ptr, got_idx = graph.neighbor_csr()
+        assert got_ptr.dtype == np.int64 and got_idx.dtype == np.int32
+        np.testing.assert_array_equal(got_ptr, want_ptr)
+        np.testing.assert_array_equal(got_idx, want_idx)
+        src = np.repeat(np.arange(n), np.diff(want_ptr))
+        reference = InterferenceGraph(
+            n, [(j, k) for j, k in zip(src.tolist(), want_idx.tolist()) if j < k]
         )
+        assert graph == reference
+        assert hash(graph) == hash(reference)
+        np.testing.assert_array_equal(graph.packed_rows(), reference.packed_rows())
+        assert disk_interference_graph(points, radius) == graph
 
-    def test_empty_and_invalid_inputs(self):
-        assert sparse_disk_interference_graph(
-            np.zeros((0, 2)), 1.0
-        ).num_buyers == 0
-        with pytest.raises(MarketConfigurationError):
-            sparse_disk_interference_graph([(0.0, 0.0)], 0.0)
+
+class TestBuilderDifferential:
+    """The nested KD-tree builder reproduces the all-pairs disk predicate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        ranges=st.lists(
+            st.floats(min_value=0.05, max_value=12.0), min_size=1, max_size=5
+        ),
+        repeat_first=st.booleans(),
+    )
+    def test_uniform_deployments(self, n, seed, ranges, repeat_first):
+        # Ranges come unsorted; repeat_first adds a duplicate radius.
+        ranges = ranges + ranges[:1] if repeat_first else ranges
+        points = np.random.default_rng(seed).uniform(0.0, 10.0, size=(n, 2))
+        assert_matches_reference(points, ranges)
+
+    def test_lattice_pairs_on_the_boundary(self):
+        # Integer points: many pairs lie exactly at distance 1, sqrt(2), 2
+        # or 5 (3-4-5 triangles), so the inclusive boundary is exercised.
+        xs, ys = np.meshgrid(np.arange(7.0), np.arange(6.0))
+        points = np.column_stack([xs.ravel(), ys.ravel()])
+        assert_matches_reference(points, [2.0, 1.0, 5.0, math.sqrt(2), 2.0])
+
+    def test_coincident_points(self):
+        points = [(1.0, 1.0)] * 4 + [(1.5, 1.0), (1.0, 1.0), (4.0, 4.0)]
+        assert_matches_reference(points, [0.5, 1e-9, 3.0])
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_inputs(self, n):
+        points = [(0.0, 0.0), (0.5, 0.5)][:n]
+        assert_matches_reference(points, [1.0, 0.1])
+
+    def test_infinite_range(self, rng):
+        points = rng.uniform(0.0, 10.0, size=(25, 2))
+        assert_matches_reference(points, [1.5, math.inf, 4.0])

@@ -54,32 +54,31 @@ class TestInterferenceGraphConstruction:
         ],
     )
     def test_constructors_agree(self, num_buyers, edges):
-        # One edge set through all three constructors: every derived
-        # view must coincide, including the CSR index the matrix and
-        # edge-array constructors build up front.
-        matrix = np.zeros((num_buyers, num_buyers), dtype=bool)
-        for j, k in edges:
-            matrix[j, k] = matrix[k, j] = True
+        # One edge set through both constructors: every derived view
+        # must coincide, including the CSR index.  Reversed and
+        # duplicated pairs must merge like the iterable constructor's.
         u = np.array([j for j, _ in edges], dtype=np.int64)
         v = np.array([k for _, k in edges], dtype=np.int64)
         reference = InterferenceGraph(num_buyers, edges)
-        for graph in (
-            InterferenceGraph.from_adjacency_matrix(matrix),
-            # Reversed and duplicated pairs must merge like the
-            # iterable constructor's.
-            InterferenceGraph.from_edge_arrays(
-                num_buyers, np.concatenate([v, u]), np.concatenate([u, v])
-            ),
-        ):
-            assert graph == reference
-            for j in range(num_buyers):
-                assert graph.neighbors(j) == reference.neighbors(j)
-            for got, want in zip(graph.neighbor_csr(), reference.neighbor_csr()):
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(
-                graph.packed_rows(), reference.packed_rows()
-            )
+        graph = InterferenceGraph.from_edge_arrays(
+            num_buyers, np.concatenate([v, u]), np.concatenate([u, v])
+        )
+        assert graph == reference
+        for j in range(num_buyers):
+            assert graph.neighbors(j) == reference.neighbors(j)
+        for got, want in zip(graph.neighbor_csr(), reference.neighbor_csr()):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(graph.packed_rows(), reference.packed_rows())
+        # The CSR index itself, from adjacency sets built by hand.
+        rows = [set() for _ in range(num_buyers)]
+        for j, k in edges:
+            rows[j].add(k)
+            rows[k].add(j)
+        indptr, indices = reference.neighbor_csr()
+        assert indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+        assert indices.tolist() == [k for r in rows for k in sorted(r)]
+        assert list(reference.edges()) == sorted({(min(e), max(e)) for e in edges})
 
 
 class TestInterferenceQueries:

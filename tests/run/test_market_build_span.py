@@ -1,4 +1,8 @@
-"""Every spec run builds its market inside a ``market.build`` span."""
+"""Every spec run builds its market inside a ``market.build`` span.
+
+A geometric market's interference map is built in an
+``interference.build`` span nested under it.
+"""
 
 from __future__ import annotations
 
@@ -32,5 +36,15 @@ def test_span_is_a_root_on_the_ambient_recorder():
     recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
     with use_recorder(recorder):
         build_market(MarketSpec(buyers=6, sellers=2, seed=1))
-    (record,) = recorder.spans.records
-    assert (record.name, record.depth) == ("market.build", 0)
+    child, root = recorder.spans.records
+    assert (root.name, root.depth) == ("market.build", 0)
+    assert (child.name, child.parent) == ("interference.build", root.index)
+
+
+def test_session_lists_interference_build_under_market_build():
+    recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
+    spec = RunSpec(command="solve", market=MarketSpec(buyers=12, sellers=3, seed=2))
+    Session(spec, recorder=recorder).run()
+    records = recorder.spans.records
+    (build,) = [record for record in records if record.name == "interference.build"]
+    assert records[build.parent].name == "market.build"

@@ -1,0 +1,41 @@
+"""networkx stays out of a run's import graph until its interop is used."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+PROGRAM = """
+import sys
+from repro.run.session import Session
+from repro.run.spec import MarketSpec, RunSpec, WorkloadSpec
+
+assert "networkx" not in sys.modules, "import repro.run.session"
+for spec in (
+    RunSpec(command="solve", market=MarketSpec(buyers=12, sellers=3, seed=1)),
+    RunSpec(command="distributed", market=MarketSpec(buyers=8, sellers=2, seed=1)),
+    RunSpec(
+        command="dynamic",
+        market=MarketSpec(buyers=8, sellers=2, seed=1, workload=WorkloadSpec(epochs=2)),
+    ),
+):
+    Session(spec).run()
+    assert "networkx" not in sys.modules, spec.command
+"""
+
+
+def test_networkx_is_not_imported_by_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", PROGRAM],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
