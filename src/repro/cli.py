@@ -41,8 +41,12 @@ and span summary after the command's normal output) and ``--dry-run``
 (print the equivalent RunSpec JSON instead of executing); see the
 Observability and Run model sections of ``docs/architecture.md``.
 
-Internally every run subcommand is a thin adapter: parsed flags become a
-:class:`~repro.run.spec.RunSpec` (see :func:`_spec_from_args`), and every
+Internally every run subcommand is a thin adapter.  Each flag that sets
+a spec field names that field as its argparse ``dest`` (``--buyers`` is
+``market.buyers``, ``--crash`` is ``faults.crashes``), per-command
+constants come from ``set_defaults``, and :func:`_spec_from_args` nests
+the dotted keys into sections and parses them with the strict
+:meth:`~repro.run.spec.RunSpec.from_dict` a spec file goes through.  Every
 command runs inside the one :class:`~repro.run.session.RunLifecycle`.  A
 single-run command's body is a presenter: it prints the result of
 :meth:`~repro.run.session.Session.execute`, the dispatch ``Session.run()``
@@ -59,10 +63,8 @@ import ast
 import dataclasses
 import functools
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.analysis.paper_figures import figure_spec
-from repro.analysis.reporting import format_experiment_rows, rows_to_csv
 from repro.core.stability import (
     is_nash_stable,
     is_pairwise_stable,
@@ -80,15 +82,11 @@ from repro.run.session import (
 )
 from repro.run.spec import (
     RUN_COMMANDS,
-    DurabilitySpec,
-    EngineSpec,
-    FaultSpec,
+    SPEC_SCHEMA_VERSION,
     MarketSpec,
-    ParallelSpec,
     ProfileSpec,
     RunSpec,
     TelemetrySpec,
-    WorkloadSpec,
 )
 from repro.workloads.scenarios import paper_simulation_market
 
@@ -100,27 +98,31 @@ _FIG8_SERIES = ["rounds_stage1", "rounds_phase1", "rounds_phase2"]
 
 
 # ----------------------------------------------------------------------
-# Shared parent parsers (each cross-command flag is defined exactly once)
+# Shared parent parsers: each cross-command flag is defined exactly once,
+# with no default of its own (an absent flag leaves the spec's default)
 # ----------------------------------------------------------------------
 def _observability_parent() -> argparse.ArgumentParser:
     """The observability flags every run subcommand shares."""
-    parent = argparse.ArgumentParser(add_help=False)
+    parent = argparse.ArgumentParser(
+        add_help=False, argument_default=argparse.SUPPRESS
+    )
     group = parent.add_argument_group("observability")
     group.add_argument(
         "--trace-out",
+        dest="telemetry.trace_out",
         metavar="PATH",
-        default=None,
         help="write a JSONL event trace (manifest line first) to PATH",
     )
     group.add_argument(
         "--metrics",
+        dest="telemetry.metrics",
         action="store_true",
         help="print a metrics/span summary after the command output",
     )
     group.add_argument(
         "--trace-flush-every",
+        dest="telemetry.trace_flush_every",
         type=int,
-        default=1,
         metavar="N",
         help=(
             "buffer N events per trace write (default 1: write-through; "
@@ -129,14 +131,14 @@ def _observability_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--metrics-out",
+        dest="telemetry.metrics_out",
         metavar="PATH",
-        default=None,
         help="write the final metrics snapshot as OpenMetrics text to PATH",
     )
     group.add_argument(
         "--serve-metrics",
+        dest="telemetry.serve_metrics",
         metavar="[HOST:]PORT",
-        default=None,
         help=(
             "serve live telemetry over HTTP while the command runs "
             "(/metrics, /health, /runs, /slo); port 0 picks a free port"
@@ -144,8 +146,8 @@ def _observability_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--serve-hold",
+        dest="telemetry.serve_hold",
         type=float,
-        default=0.0,
         metavar="SECONDS",
         help=(
             "keep the telemetry server up SECONDS after the command "
@@ -154,8 +156,8 @@ def _observability_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--slo",
+        dest="telemetry.slo",
         action="append",
-        default=[],
         metavar="RULE",
         help=(
             "declarative SLO rule, e.g. rounds_to_convergence<=40, "
@@ -165,8 +167,8 @@ def _observability_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--slo-policy",
+        dest="telemetry.slo_policy",
         choices=["warn", "fail"],
-        default="warn",
         help=(
             "what a violated SLO does to the exit code: warn (report "
             "only, default) or fail (exit nonzero)"
@@ -174,8 +176,8 @@ def _observability_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--profile-out",
+        dest="profile.profile_out",
         metavar="DIR",
-        default=None,
         help=(
             "profile the run (cProfile + tracemalloc + kernel cost "
             "counters) and write profile.json / profile.collapsed / "
@@ -187,12 +189,14 @@ def _observability_parent() -> argparse.ArgumentParser:
 
 def _durability_parent() -> argparse.ArgumentParser:
     """The durable-run flags shared by checkpointable subcommands."""
-    parent = argparse.ArgumentParser(add_help=False)
+    parent = argparse.ArgumentParser(
+        add_help=False, argument_default=argparse.SUPPRESS
+    )
     group = parent.add_argument_group("durability")
     group.add_argument(
         "--checkpoint-dir",
+        dest="durability.checkpoint_dir",
         metavar="RUN_DIR",
-        default=None,
         help=(
             "run durably: write a WAL, periodic state checkpoints and the "
             "run's own trace into RUN_DIR (resume later with "
@@ -201,15 +205,15 @@ def _durability_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--checkpoint-every",
+        dest="durability.checkpoint_every",
         type=int,
-        default=10,
         metavar="N",
         help="snapshot state every N committed epochs/slots (default 10)",
     )
     group.add_argument(
         "--inject-stall-after",
+        dest="durability.inject_stall_after",
         type=int,
-        default=None,
         metavar="N",
         help=(
             "testing hook: stop making progress after N WAL records (the "
@@ -233,13 +237,13 @@ def _dry_run_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _parse_crash_spec(spec: str):
-    """Parse ``AGENT@CRASH[-RESTART][/MODE]`` into a :class:`CrashFault`."""
+def _parse_crash_spec(spec: str) -> str:
+    """Canonicalise a ``AGENT@CRASH[-RESTART][/MODE]`` crash spec."""
     from repro.distributed.faults import CrashFault
     from repro.errors import SimulationError
 
     try:
-        return CrashFault.parse(spec)
+        return CrashFault.parse(spec).to_spec()
     except SimulationError as exc:
         raise argparse.ArgumentTypeError(
             f"bad crash spec {spec!r} "
@@ -247,18 +251,13 @@ def _parse_crash_spec(spec: str):
         )
 
 
-def _parse_partition_spec(spec: str):
-    """Parse ``G1|G2|...@START[-END]`` into a :class:`PartitionFault`.
-
-    Groups are comma-separated agent ids; the literal group ``rest`` is
-    shorthand for the implicit remainder group and is simply dropped
-    (unnamed agents always form their own group).
-    """
+def _parse_partition_spec(spec: str) -> str:
+    """Canonicalise a ``G1|G2|...@START[-END]`` partition spec."""
     from repro.distributed.faults import PartitionFault
     from repro.errors import SimulationError
 
     try:
-        return PartitionFault.parse(spec)
+        return PartitionFault.parse(spec).to_spec()
     except SimulationError as exc:
         raise argparse.ArgumentTypeError(
             f"bad partition spec {spec!r} "
@@ -285,6 +284,43 @@ def _parse_config_entry(text: str) -> Tuple[str, object]:
     return key, parsed
 
 
+class _EngineOption(argparse.Action):
+    """``--config KEY=VALUE`` sets the spec field ``engine.options.KEY``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        key, value = values
+        setattr(namespace, f"engine.options.{key}", value)
+
+
+def _add_size(parser, buyers: int, sellers: int) -> None:
+    """``--buyers``/``--sellers`` with this command's defaults."""
+    parser.add_argument(
+        "--buyers", type=int, default=buyers, dest="market.buyers",
+        metavar="BUYERS",
+    )
+    parser.add_argument(
+        "--sellers", type=int, default=sellers, dest="market.sellers",
+        metavar="SELLERS",
+    )
+
+
+def _add_seed(parser) -> None:
+    parser.add_argument(
+        "--seed", type=int, default=0, dest="market.seed", metavar="SEED"
+    )
+
+
+def _add_loss(parser) -> None:
+    parser.add_argument(
+        "--loss",
+        type=float,
+        default=0.0,
+        dest="faults.loss",
+        metavar="LOSS",
+        help="message loss rate in [0, 1]; enables the ARQ transport",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -305,59 +341,70 @@ def build_parser() -> argparse.ArgumentParser:
             parents=run_parents,
         )
         fig_parser.add_argument(
-            "--panel", choices=["a", "b", "c"], default="a", help="figure panel"
+            "--panel",
+            choices=["a", "b", "c"],
+            default="a",
+            dest="engine.options.panel",
+            help="figure panel",
         )
         fig_parser.add_argument(
             "--repetitions",
             type=int,
             default=None,
+            dest="engine.options.repetitions",
+            metavar="REPETITIONS",
             help="Monte-Carlo repetitions per point (default: panel spec)",
         )
-        fig_parser.add_argument("--seed", type=int, default=0)
+        _add_seed(fig_parser)
         fig_parser.add_argument(
             "--jobs",
             type=int,
             default=None,
+            dest="parallel.jobs",
+            metavar="JOBS",
             help="worker processes for the sweep (default: serial; 0 = all cores)",
         )
         fig_parser.add_argument(
-            "--csv", action="store_true", help="emit CSV instead of a table"
+            "--csv",
+            action="store_true",
+            dest="engine.options.csv",
+            help="emit CSV instead of a table",
         )
         fig_parser.add_argument(
             "--json",
             metavar="PATH",
             default=None,
+            dest="engine.options.json_out",
             help="also save the full series (mean/std/CI) as JSON",
         )
+        fig_parser.set_defaults(**{"engine.name": "figure"})
 
     sub.add_parser(
         "toy",
         help="replay the paper's toy example (Figs. 1-2)",
         parents=run_parents,
-    )
+    ).set_defaults(**{"market.scenario": "toy"})
     sub.add_parser(
         "counterexample",
         help="show the Section III-D pairwise-instability counterexample",
         parents=run_parents,
-    )
+    ).set_defaults(**{"market.scenario": "counterexample"})
 
     dist = sub.add_parser(
         "distributed",
         help="run the Section IV message-level protocol",
         parents=run_parents,
     )
-    dist.add_argument("--buyers", type=int, default=30)
-    dist.add_argument("--sellers", type=int, default=5)
-    dist.add_argument("--seed", type=int, default=0)
+    _add_size(dist, buyers=30, sellers=5)
+    _add_seed(dist)
     dist.add_argument(
-        "--policy", choices=["default", "adaptive", "both"], default="both"
+        "--policy",
+        choices=["default", "adaptive", "both"],
+        default="both",
+        dest="engine.options.policy",
     )
-    dist.add_argument(
-        "--loss",
-        type=float,
-        default=0.0,
-        help="message loss rate in [0, 1]; enables the ARQ transport",
-    )
+    _add_loss(dist)
+    dist.set_defaults(**{"engine.name": "distributed"})
 
     chaos = sub.add_parser(
         "chaos",
@@ -368,22 +415,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         parents=[obs, durability, dry_run],
     )
-    chaos.add_argument("--buyers", type=int, default=10)
-    chaos.add_argument("--sellers", type=int, default=3)
-    chaos.add_argument("--seed", type=int, default=0)
+    _add_size(chaos, buyers=10, sellers=3)
+    _add_seed(chaos)
     chaos.add_argument(
-        "--policy", choices=["default", "adaptive"], default="default"
+        "--policy",
+        choices=["default", "adaptive"],
+        default="default",
+        dest="engine.options.policy",
     )
-    chaos.add_argument(
-        "--loss",
-        type=float,
-        default=0.0,
-        help="message loss rate in [0, 1]; enables the ARQ transport",
-    )
+    _add_loss(chaos)
     chaos.add_argument(
         "--crash",
         action="append",
         default=[],
+        dest="faults.crashes",
         metavar="AGENT@CRASH[-RESTART][/MODE]",
         type=_parse_crash_spec,
         help=(
@@ -396,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--partition",
         action="append",
         default=[],
+        dest="faults.partitions",
         metavar="G1|G2|...@START[-END]",
         type=_parse_partition_spec,
         help=(
@@ -409,53 +455,73 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline-slots",
         type=int,
         default=None,
+        dest="faults.deadline_slots",
+        metavar="DEADLINE_SLOTS",
         help="slot budget before the timeout policy kicks in",
     )
     chaos.add_argument(
         "--on-timeout",
         choices=["raise", "degrade"],
         default="degrade",
+        dest="faults.on_timeout",
         help=(
             "what to do at the deadline: abort loudly, or return the best "
             "interference-free partial matching (default: degrade)"
         ),
     )
+    chaos.set_defaults(**{"engine.name": "distributed"})
 
     swaps = sub.add_parser(
         "swaps",
         help="run Stage III coordinated swaps (Section III-D future work)",
         parents=run_parents,
     )
-    swaps.add_argument("--buyers", type=int, default=14)
-    swaps.add_argument("--sellers", type=int, default=4)
-    swaps.add_argument("--seed", type=int, default=0)
+    _add_size(swaps, buyers=14, sellers=4)
+    _add_seed(swaps)
     swaps.add_argument(
         "--counterexample",
-        action="store_true",
+        action="store_const",
+        const="counterexample",
+        default="paper",
+        dest="market.scenario",
         help="use the frozen Section III-D instance instead of a random market",
     )
+    swaps.set_defaults(**{"engine.name": "swaps"})
 
     dyn = sub.add_parser(
         "dynamic",
         help="simulate an evolving market (warm vs cold re-matching)",
         parents=[obs, durability, dry_run],
     )
-    dyn.add_argument("--epochs", type=int, default=12)
-    dyn.add_argument("--buyers", type=int, default=40)
-    dyn.add_argument("--sellers", type=int, default=5)
-    dyn.add_argument("--arrival-rate", type=float, default=5.0)
-    dyn.add_argument("--departure-prob", type=float, default=0.12)
-    dyn.add_argument("--drift", type=float, default=0.05)
-    dyn.add_argument("--seed", type=int, default=0)
+    dyn.add_argument(
+        "--epochs", type=int, default=12, dest="market.workload.epochs",
+        metavar="EPOCHS",
+    )
+    _add_size(dyn, buyers=40, sellers=5)
+    dyn.add_argument(
+        "--arrival-rate", type=float, default=5.0,
+        dest="market.workload.arrival_rate", metavar="ARRIVAL_RATE",
+    )
+    dyn.add_argument(
+        "--departure-prob", type=float, default=0.12,
+        dest="market.workload.departure_prob", metavar="DEPARTURE_PROB",
+    )
+    dyn.add_argument(
+        "--drift", type=float, default=0.05, dest="market.workload.drift",
+        metavar="DRIFT",
+    )
+    _add_seed(dyn)
     dyn.add_argument(
         "--strategy",
         choices=["warm", "cold", "both"],
         default="both",
+        dest="market.workload.strategy",
         help=(
             "re-matching strategy to run (default: both, for the "
             "warm-vs-cold comparison; durable runs need a single one)"
         ),
     )
+    dyn.set_defaults(**{"engine.name": "dynamic"})
 
     resume = sub.add_parser(
         "resume",
@@ -540,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fast one-page replication check of the paper's headline claims",
         parents=run_parents,
     )
-    report.add_argument("--seed", type=int, default=0)
+    _add_seed(report)
 
     solve = sub.add_parser(
         "solve",
@@ -550,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--solver",
         required=True,
+        dest="engine.name",
         metavar="NAME",
         help="registry name (see 'solvers list')",
     )
@@ -557,20 +624,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         choices=["paper", "toy", "counterexample"],
         default="paper",
+        dest="market.scenario",
         help="market to solve (default: a random paper-workload market)",
     )
-    solve.add_argument("--buyers", type=int, default=20)
-    solve.add_argument("--sellers", type=int, default=4)
-    solve.add_argument("--seed", type=int, default=0)
+    _add_size(solve, buyers=20, sellers=4)
+    _add_seed(solve)
     solve.add_argument(
         "--check-stability",
         action="store_true",
+        default=argparse.SUPPRESS,
+        dest="engine.options.check_stability",
         help="also run the stability scans (IR / Nash / pairwise)",
     )
     solve.add_argument(
         "--config",
-        action="append",
-        default=[],
+        action=_EngineOption,
+        default=argparse.SUPPRESS,
         metavar="KEY=VALUE",
         type=_parse_config_entry,
         help=(
@@ -796,134 +865,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Flags consumed by the observability harness itself, excluded from the
-#: manifest's config record of non-spec commands.
-_OBS_FLAGS = {f.name for f in dataclasses.fields(TelemetrySpec)} | {
-    "profile_out"
-}
+# ----------------------------------------------------------------------
+# Flags -> RunSpec
+# ----------------------------------------------------------------------
+def _spec_sections(args: argparse.Namespace) -> Dict[str, Any]:
+    """The namespace's dotted keys, nested into spec sections.
+
+    A spec is at most three levels deep (``engine.options.KEY``), so a
+    third part is a key as given: ``--config a.b=1`` sets option ``a.b``.
+    """
+    sections: Dict[str, Any] = {}
+    for key, value in vars(args).items():
+        if "." in key:
+            *path, name = key.split(".", 2)
+            node = sections
+            for part in path:
+                node = node.setdefault(part, {})
+            node[name] = value
+    return sections
 
 
-# ----------------------------------------------------------------------
-# Flags -> RunSpec adapters
-# ----------------------------------------------------------------------
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     """Translate one run subcommand's parsed flags into its RunSpec.
 
     This is the single place where CLI flags meet the declarative run
-    model; the command implementations below consume only the spec, so
-    ``repro <command> <flags>`` and ``repro run <spec.json>`` execute the
-    identical path.  The shared flag groups fill their sections here
-    (absent flags give each section's defaults); the command's own flags
-    fill the rest in :func:`_base_spec_from_args`.
+    model, and it parses them exactly as ``repro run`` parses a spec
+    file: with the strict :meth:`RunSpec.from_dict`.  The command
+    implementations below consume only the spec.
     """
-    return dataclasses.replace(
-        _base_spec_from_args(args),
-        telemetry=TelemetrySpec.from_args(args),
-        profile=ProfileSpec.from_args(args),
-        durability=DurabilitySpec(
-            checkpoint_dir=getattr(args, "checkpoint_dir", None),
-            checkpoint_every=int(getattr(args, "checkpoint_every", 10)),
-            inject_stall_after=getattr(args, "inject_stall_after", None),
-        ),
-    )
-
-
-def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
-    command = args.command
-    if command in ("fig6", "fig7", "fig8"):
-        return RunSpec(
-            command=command,
-            market=MarketSpec(seed=args.seed),
-            engine=EngineSpec(
-                name="figure",
-                options={
-                    "panel": args.panel,
-                    "repetitions": args.repetitions,
-                    "csv": args.csv,
-                    "json_out": args.json,
-                },
-            ),
-            parallel=ParallelSpec(jobs=args.jobs),
-        )
-    if command in ("toy", "counterexample"):
-        return RunSpec(command=command, market=MarketSpec(scenario=command))
-    if command == "distributed":
-        return RunSpec(
-            command="distributed",
-            market=MarketSpec(
-                buyers=args.buyers, sellers=args.sellers, seed=args.seed
-            ),
-            engine=EngineSpec(
-                name="distributed", options={"policy": args.policy}
-            ),
-            faults=FaultSpec(loss=args.loss),
-        )
-    if command == "chaos":
-        return RunSpec(
-            command="chaos",
-            market=MarketSpec(
-                buyers=args.buyers, sellers=args.sellers, seed=args.seed
-            ),
-            engine=EngineSpec(
-                name="distributed", options={"policy": args.policy}
-            ),
-            faults=FaultSpec(
-                loss=args.loss,
-                crashes=tuple(fault.to_spec() for fault in args.crash),
-                partitions=tuple(
-                    fault.to_spec() for fault in args.partition
-                ),
-                deadline_slots=args.deadline_slots,
-                on_timeout=args.on_timeout,
-            ),
-        )
-    if command == "swaps":
-        return RunSpec(
-            command="swaps",
-            market=MarketSpec(
-                scenario=(
-                    "counterexample" if args.counterexample else "paper"
-                ),
-                buyers=args.buyers,
-                sellers=args.sellers,
-                seed=args.seed,
-            ),
-            engine=EngineSpec(name="swaps"),
-        )
-    if command == "dynamic":
-        return RunSpec(
-            command="dynamic",
-            market=MarketSpec(
-                buyers=args.buyers,
-                sellers=args.sellers,
-                seed=args.seed,
-                workload=WorkloadSpec(
-                    epochs=args.epochs,
-                    arrival_rate=args.arrival_rate,
-                    departure_prob=args.departure_prob,
-                    drift=args.drift,
-                    strategy=args.strategy,
-                ),
-            ),
-            engine=EngineSpec(name="dynamic"),
-        )
-    if command == "report":
-        return RunSpec(command="report", market=MarketSpec(seed=args.seed))
-    if command == "solve":
-        options = dict(args.config)
-        if args.check_stability:
-            options["check_stability"] = True
-        return RunSpec(
-            command="solve",
-            market=MarketSpec(
-                scenario=args.scenario,
-                buyers=args.buyers,
-                sellers=args.sellers,
-                seed=args.seed,
-            ),
-            engine=EngineSpec(name=args.solver, options=options),
-        )
-    raise AssertionError(f"no spec mapping for command {command!r}")
+    return RunSpec.from_dict({
+        "schema": SPEC_SCHEMA_VERSION,
+        "command": args.command,
+        **_spec_sections(args),
+    })
 
 
 # ----------------------------------------------------------------------
@@ -932,6 +906,9 @@ def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
 # composites on the same builders.  All of them run inside one lifecycle.
 # ----------------------------------------------------------------------
 def _cmd_figure(session: Session) -> int:
+    from repro.analysis.paper_figures import figure_spec
+    from repro.analysis.reporting import format_experiment_rows, rows_to_csv
+
     spec = session.spec
     figure = int(spec.command[3])
     options = spec.engine.options
@@ -1627,16 +1604,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             lifecycle = session.open()
             body = functools.partial(_run_spec, session)
         else:
-            telemetry = TelemetrySpec.from_args(args)
-            profile = ProfileSpec.from_args(args)
+            sections = _spec_sections(args)
+            telemetry = TelemetrySpec.from_dict(sections.get("telemetry", {}))
+            profile = ProfileSpec.from_dict(sections.get("profile", {}))
             config = {
                 key: value
                 for key, value in vars(args).items()
-                if key not in _OBS_FLAGS
+                if "." not in key
             }
             recorder = build_recorder(
-                telemetry, profile=profile,
-                seed=getattr(args, "seed", None), config=config,
+                telemetry, profile=profile, config=config
             )
             lifecycle = RunLifecycle(
                 telemetry, recorder, profile=profile,

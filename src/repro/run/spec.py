@@ -15,18 +15,19 @@ orthogonal sub-specs.
 * :class:`TelemetrySpec` -- trace/metrics/serving/SLO wiring;
 * :class:`ProfileSpec` -- the stdlib profiler harness (cProfile +
   tracemalloc) and deterministic kernel cost counters;
-* :class:`DurabilitySpec` -- checkpoint directory, cadence and the
-  supervised-retry policy;
+* :class:`DurabilitySpec` -- checkpoint directory and cadence;
 * :class:`ParallelSpec` -- worker-pool sizing for sweeps.
 
-The spec is *data*, not behaviour: ``to_json``/``from_json`` round-trip
+The spec is *data*, not behaviour: every section shares one codec driven
+by its dataclass fields, ``to_json``/``from_json`` round-trip
 byte-stably, :meth:`RunSpec.spec_hash` is key-order independent (it goes
 through :func:`repro.ioutil.canonical_json`, the same function behind the
 durable-run config hash), and unknown or future fields are rejected with
 a :class:`~repro.errors.SpecError` naming the offending key -- mirroring
 the trace manifest's future-schema rejection.  That makes a serialized
 spec safe to store in run-dir manifests (resume compatibility becomes a
-spec-equality check) and to accept over the wire.
+spec-equality check) and to accept over the wire.  The CLI's flags
+become a spec through the same strict :meth:`RunSpec.from_dict`.
 
 Execution lives in :mod:`repro.run.session`.
 """
@@ -34,12 +35,14 @@ Execution lives in :mod:`repro.run.session`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.errors import SpecError
+from repro.errors import SimulationError, SpecError
 from repro.ioutil import canonical_json, config_hash
 
 __all__ = [
@@ -101,10 +104,6 @@ def _reject_unknown(section: str, payload: Mapping[str, Any], known) -> None:
         )
 
 
-def _field_names(cls) -> Tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 def _str_tuple(section: str, name: str, value: Any) -> Tuple[str, ...]:
     if not isinstance(value, (list, tuple)):
         raise SpecError(
@@ -150,10 +149,83 @@ def _check_choice(section: str, name: str, value: Any, choices) -> None:
 
 
 # ----------------------------------------------------------------------
+# The codec every section shares
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> Dict[str, Tuple[Any, bool]]:
+    """``{name: (kind, optional)}`` for each dataclass field, in order.
+
+    ``Optional[X]`` gives ``(X, True)``.  ``kind`` is ``tuple`` or
+    ``dict`` for container fields, else the field's class.
+    """
+    hints = typing.get_type_hints(cls)
+    kinds = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        optional = typing.get_origin(hint) is Union
+        if optional:
+            hint = typing.get_args(hint)[0]
+        kinds[f.name] = (typing.get_origin(hint) or hint, optional)
+    return kinds
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, _Section):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _decode(section: str, name: str, kind: Any, optional: bool, value: Any):
+    if value is None and optional:
+        return None
+    if kind is tuple:
+        return _str_tuple(section, name, value)
+    if kind is dict:
+        _require_mapping(f"{section}.{name}", value)
+    elif isinstance(kind, type) and issubclass(kind, _Section):
+        return kind.from_dict(value, section=f"{section}.{name}")
+    return value
+
+
+class _Section:
+    """The JSON codec every sub-spec shares, driven by its dataclass fields.
+
+    ``to_dict`` emits the fields in declaration order, tuples as lists
+    and sections as objects.  ``from_dict`` rejects unknown keys and
+    checks list and object fields (``validate`` checks values).  A
+    subclass names its section: ``MarketSpec(_Section, section="market")``.
+    """
+
+    def __init_subclass__(cls, section: str, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._section = section
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            name: _encode(getattr(self, name)) for name in _fields(type(self))
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Any, section: Optional[str] = None):
+        section = section or cls._section
+        _require_mapping(section, payload)
+        kinds = _fields(cls)
+        _reject_unknown(section, payload, kinds)
+        return cls(**{
+            name: _decode(section, name, *kinds[name], value)
+            for name, value in payload.items()
+        })
+
+
+# ----------------------------------------------------------------------
 # Sub-specs
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Section, section="workload"):
     """Epoch-stream parameters of a dynamic (evolving-market) run."""
 
     epochs: int = 12
@@ -161,15 +233,6 @@ class WorkloadSpec:
     departure_prob: float = 0.12
     drift: float = 0.05
     strategy: str = "both"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Any, section: str = "workload"):
-        _require_mapping(section, payload)
-        _reject_unknown(section, payload, _field_names(cls))
-        return cls(**payload)
 
     def validate(self, section: str = "workload") -> None:
         _check_int(section, "epochs", self.epochs, minimum=1)
@@ -182,7 +245,7 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True)
-class MarketSpec:
+class MarketSpec(_Section, section="market"):
     """Which market the run executes on.
 
     ``scenario`` is ``"paper"`` (a random paper-workload market of
@@ -198,29 +261,6 @@ class MarketSpec:
     seed: int = 0
     workload: Optional[WorkloadSpec] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "buyers": self.buyers,
-            "sellers": self.sellers,
-            "seed": self.seed,
-            "workload": (
-                None if self.workload is None else self.workload.to_dict()
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Any, section: str = "market"):
-        _require_mapping(section, payload)
-        _reject_unknown(section, payload, _field_names(cls))
-        kwargs = dict(payload)
-        workload = kwargs.get("workload")
-        if workload is not None:
-            kwargs["workload"] = WorkloadSpec.from_dict(
-                workload, section=f"{section}.workload"
-            )
-        return cls(**kwargs)
-
     def validate(self, section: str = "market") -> None:
         _check_choice(section, "scenario", self.scenario, _SCENARIOS)
         _check_int(section, "buyers", self.buyers, minimum=1)
@@ -231,7 +271,7 @@ class MarketSpec:
 
 
 @dataclass(frozen=True)
-class EngineSpec:
+class EngineSpec(_Section, section="engine"):
     """Which execution engine runs the market, plus its options.
 
     ``name`` is a solver-registry name (``two_stage``, ``greedy``,
@@ -244,19 +284,6 @@ class EngineSpec:
 
     name: str = "two_stage"
     options: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "options": dict(self.options)}
-
-    @classmethod
-    def from_dict(cls, payload: Any, section: str = "engine"):
-        _require_mapping(section, payload)
-        _reject_unknown(section, payload, _field_names(cls))
-        kwargs = dict(payload)
-        options = kwargs.get("options")
-        if options is not None:
-            _require_mapping(f"{section}.options", options)
-        return cls(**kwargs)
 
     def validate(self, section: str = "engine") -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -299,7 +326,7 @@ class EngineSpec:
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_Section, section="faults"):
     """Declarative fault schedule for distributed runs.
 
     ``crashes`` and ``partitions`` hold the CLI fault-spec strings
@@ -315,25 +342,6 @@ class FaultSpec:
     deadline_slots: Optional[int] = None
     on_timeout: str = "degrade"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "loss": self.loss,
-            "crashes": list(self.crashes),
-            "partitions": list(self.partitions),
-            "deadline_slots": self.deadline_slots,
-            "on_timeout": self.on_timeout,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Any, section: str = "faults"):
-        _require_mapping(section, payload)
-        _reject_unknown(section, payload, _field_names(cls))
-        kwargs = dict(payload)
-        for name in ("crashes", "partitions"):
-            if name in kwargs:
-                kwargs[name] = _str_tuple(section, name, kwargs[name])
-        return cls(**kwargs)
-
     def validate(self, section: str = "faults") -> None:
         _check_number(section, "loss", self.loss, lo=0.0, hi=1.0)
         _check_choice(section, "on_timeout", self.on_timeout, _TIMEOUT_MODES)
@@ -341,16 +349,24 @@ class FaultSpec:
             _check_int(
                 section, "deadline_slots", self.deadline_slots, minimum=1
             )
+        if self.crashes or self.partitions:
+            from repro.distributed.faults import CrashFault, PartitionFault
 
-    @property
-    def empty(self) -> bool:
-        """Whether the spec describes a fault-free run."""
-        return (
-            not self.crashes
-            and not self.partitions
-            and self.loss == 0.0
-            and self.deadline_slots is None
-        )
+            for name, parse in (
+                ("crashes", CrashFault.parse),
+                ("partitions", PartitionFault.parse),
+            ):
+                for index, text in enumerate(getattr(self, name)):
+                    try:
+                        parse(text)
+                    except SimulationError as exc:
+                        raise SpecError(
+                            f"{section}.{name}[{index}]: {exc}"
+                        ) from None
+            try:  # each entry parses, but they may still clash
+                self.build_schedule()
+            except SimulationError as exc:
+                raise SpecError(f"{section}: {exc}") from None
 
     def build_schedule(self):
         """Parse the spec strings into a live ``FaultSchedule`` (or None)."""
@@ -368,7 +384,7 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class TelemetrySpec:
+class TelemetrySpec(_Section, section="telemetry"):
     """Observability wiring: trace sink, metrics, live serving, SLOs."""
 
     trace_out: Optional[str] = None
@@ -380,20 +396,6 @@ class TelemetrySpec:
     slo: Tuple[str, ...] = ()
     slo_policy: str = "warn"
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["slo"] = list(self.slo)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Any, section: str = "telemetry"):
-        _require_mapping(section, payload)
-        _reject_unknown(section, payload, _field_names(cls))
-        kwargs = dict(payload)
-        if "slo" in kwargs:
-            kwargs["slo"] = _str_tuple(section, "slo", kwargs["slo"])
-        return cls(**kwargs)
-
     def validate(self, section: str = "telemetry") -> None:
         _check_int(
             section, "trace_flush_every", self.trace_flush_every, minimum=1
@@ -401,23 +403,9 @@ class TelemetrySpec:
         _check_number(section, "serve_hold", self.serve_hold, lo=0.0)
         _check_choice(section, "slo_policy", self.slo_policy, _SLO_POLICIES)
 
-    @classmethod
-    def from_args(cls, args) -> "TelemetrySpec":
-        """Build from a parsed argparse namespace (missing flags = defaults)."""
-        return cls(
-            trace_out=getattr(args, "trace_out", None),
-            trace_flush_every=int(getattr(args, "trace_flush_every", 1)),
-            metrics=bool(getattr(args, "metrics", False)),
-            metrics_out=getattr(args, "metrics_out", None),
-            serve_metrics=getattr(args, "serve_metrics", None),
-            serve_hold=float(getattr(args, "serve_hold", 0.0)),
-            slo=tuple(getattr(args, "slo", []) or []),
-            slo_policy=str(getattr(args, "slo_policy", "warn")),
-        )
-
 
 @dataclass(frozen=True)
-class ProfileSpec:
+class ProfileSpec(_Section, section="profile"):
     """Profiling wiring: stdlib profiler drivers + cost counters.
 
     Null by default: with ``profile_out`` unset no profiler is
@@ -434,15 +422,6 @@ class ProfileSpec:
     memory: bool = True
     top: int = 20
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Any, section: str = "profile"):
-        _require_mapping(section, payload)
-        _reject_unknown(section, payload, _field_names(cls))
-        return cls(**payload)
-
     def validate(self, section: str = "profile") -> None:
         if self.profile_out is not None and not isinstance(
             self.profile_out, str
@@ -458,31 +437,14 @@ class ProfileSpec:
         """Whether the run profiles at all (the null-default gate)."""
         return self.profile_out is not None
 
-    @classmethod
-    def from_args(cls, args) -> "ProfileSpec":
-        """Build from a parsed argparse namespace (missing flags = defaults)."""
-        return cls(profile_out=getattr(args, "profile_out", None))
-
 
 @dataclass(frozen=True)
-class DurabilitySpec:
-    """Checkpointing cadence and the supervised-retry policy."""
+class DurabilitySpec(_Section, section="durability"):
+    """Checkpoint directory and cadence (``repro supervise`` owns retries)."""
 
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 10
     inject_stall_after: Optional[int] = None
-    max_retries: int = 3
-    backoff_s: float = 0.5
-    retry_seed: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Any, section: str = "durability"):
-        _require_mapping(section, payload)
-        _reject_unknown(section, payload, _field_names(cls))
-        return cls(**payload)
 
     @property
     def durable(self) -> bool:
@@ -497,25 +459,13 @@ class DurabilitySpec:
         else:
             if self.checkpoint_every < 1:
                 raise SpecError("--checkpoint-every must be >= 1")
-        _check_int(section, "max_retries", self.max_retries, minimum=0)
-        _check_number(section, "backoff_s", self.backoff_s, lo=0.0)
-        _check_int(section, "retry_seed", self.retry_seed)
 
 
 @dataclass(frozen=True)
-class ParallelSpec:
+class ParallelSpec(_Section, section="parallel"):
     """Worker-pool sizing for figure sweeps (``jobs=0`` = all cores)."""
 
     jobs: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Any, section: str = "parallel"):
-        _require_mapping(section, payload)
-        _reject_unknown(section, payload, _field_names(cls))
-        return cls(**payload)
 
     def validate(self, section: str = "parallel") -> None:
         if self.jobs is not None:
@@ -526,7 +476,7 @@ class ParallelSpec:
 # The composed run spec
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(_Section, section="spec"):
     """One complete, self-contained description of a run.
 
     A frozen value object: hash it (:meth:`spec_hash`), serialize it
@@ -548,21 +498,13 @@ class RunSpec:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        payload = {
-            "schema": SPEC_SCHEMA_VERSION,
-            "command": self.command,
-            "market": self.market.to_dict(),
-            "engine": self.engine.to_dict(),
-            "faults": self.faults.to_dict(),
-            "telemetry": self.telemetry.to_dict(),
-            "durability": self.durability.to_dict(),
-            "parallel": self.parallel.to_dict(),
-        }
-        # Emitted only when non-default: specs (and the trace manifests
-        # that embed them) written before profiling existed stay
-        # byte-identical to ones written by this build.
+        payload = {"schema": SPEC_SCHEMA_VERSION, **super().to_dict()}
+        profile = payload.pop("profile")
+        # Emitted last and only when non-default: specs (and the trace
+        # manifests that embed them) written before profiling existed
+        # stay byte-identical to ones written by this build.
         if self.profile != ProfileSpec():
-            payload["profile"] = self.profile.to_dict()
+            payload["profile"] = profile
         return payload
 
     @classmethod
@@ -586,8 +528,8 @@ class RunSpec:
             )
         if version < 1:
             raise SpecError(f"spec: schema must be >= 1, got {version}")
-        known = ("schema",) + _field_names(cls)
-        _reject_unknown("spec", payload, known)
+        kinds = _fields(cls)
+        _reject_unknown("spec", payload, ("schema", *kinds))
         if "command" not in payload:
             raise SpecError("spec: missing required field 'command'")
         command = payload["command"]
@@ -595,20 +537,11 @@ class RunSpec:
             raise SpecError(
                 f"spec.command: expected a string, got {command!r}"
             )
-        sections = {
-            "market": MarketSpec,
-            "engine": EngineSpec,
-            "faults": FaultSpec,
-            "telemetry": TelemetrySpec,
-            "profile": ProfileSpec,
-            "durability": DurabilitySpec,
-            "parallel": ParallelSpec,
-        }
-        kwargs: Dict[str, Any] = {"command": command}
-        for name, sub_cls in sections.items():
-            if name in payload:
-                kwargs[name] = sub_cls.from_dict(payload[name], section=name)
-        return cls(**kwargs)
+        return cls(command=command, **{
+            name: kinds[name][0].from_dict(value, section=name)
+            for name, value in payload.items()
+            if name not in ("schema", "command")
+        })
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Serialize deterministically (sorted keys; byte-stable round trip)."""

@@ -223,10 +223,7 @@ class _DurableRun:
         )
         self.checkpoints_written += 1
         self.ambient.emit(
-            "runtime.checkpoint",
-            index=count,
-            trace_bytes=trace_bytes,
-            run_dir=str(self.store.run_dir),
+            "runtime.checkpoint", index=count, run_dir=str(self.store.run_dir)
         )
         if self.ambient.metrics.enabled:
             self.ambient.metrics.counter("runtime.checkpoints").inc()

@@ -7,12 +7,12 @@ buyers rank the channels identically, ~0 means independent rankings.
 :func:`average_pairwise_srcc` is vectorised (rank every row once, then one
 correlation-matrix product), so computing the measured similarity of a
 300-buyer market is cheap enough to report in every experiment row.
+``scipy.stats`` is slow to import, so only these functions import it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from repro.errors import MarketConfigurationError
 
@@ -34,6 +34,8 @@ def spearman_rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
         )
     if x.size < 2:
         raise MarketConfigurationError("SRCC needs vectors of length >= 2")
+    from scipy.stats import rankdata
+
     rank_x = rankdata(x)
     rank_y = rankdata(y)
     std_x = rank_x.std()
@@ -61,6 +63,7 @@ def average_pairwise_srcc(utilities: np.ndarray) -> float:
         raise MarketConfigurationError("need at least two buyers for pairwise SRCC")
     if num_channels < 2:
         raise MarketConfigurationError("need at least two channels for SRCC")
+    from scipy.stats import rankdata
 
     ranks = np.apply_along_axis(rankdata, 1, utilities)
     centered = ranks - ranks.mean(axis=1, keepdims=True)

@@ -24,6 +24,7 @@ from repro.run.spec import (
     RUN_COMMANDS,
     DurabilitySpec,
     EngineSpec,
+    FaultSpec,
     MarketSpec,
     RunSpec,
     TelemetrySpec,
@@ -69,16 +70,6 @@ def _main(argv, capsys):
     return code, capsys.readouterr().out
 
 
-def _events(path: str):
-    events = load_events(path)
-    for event in events:
-        # The run-dir trace's manifest carries a wall-clock float whose
-        # printed length varies, and this byte offset counts it.
-        if event.get("event") == "runtime.checkpoint":
-            del event["trace_bytes"]
-    return events
-
-
 def _printed_result(out: str, traces):
     """Stdout minus artefact lines, timings and trace paths."""
     lines = []
@@ -109,7 +100,7 @@ def test_flags_spec_and_profile_run_agree(case, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(capsys.readouterr().out)
     code_b, out_b = _main(["run", str(spec_path)], capsys)
-    diff = diff_traces(_events(traces[0]), _events(traces[1]))
+    diff = diff_traces(load_events(traces[0]), load_events(traces[1]))
     assert not diff.diverged, diff
     code_c, out_c = _main(
         ["profile", "run", str(spec_path), "--out", str(tmp_path / "prof"),
@@ -149,22 +140,45 @@ def test_chaos_honours_max_slots_everywhere(tmp_path, capsys):
 
 
 def test_misspelt_policy_fails_the_same_everywhere(tmp_path, capsys):
-    spec = RunSpec(
+    chaos = RunSpec(
         command="chaos",
         market=MarketSpec(buyers=8, sellers=3),
-        engine=EngineSpec(name="distributed", options={"policy": "adaptve"}),
+        engine=EngineSpec(name="distributed", options={"policy": "default"}),
     )
-    with pytest.raises(SpecError) as info:
-        Session(spec).run()
-    assert "'adaptve'" in str(info.value)
-    run_dir = tmp_path / "run"
-    durable = dataclasses.replace(
-        spec, durability=DurabilitySpec(checkpoint_dir=str(run_dir))
+    bad_inputs = (
+        (
+            dict(engine=EngineSpec(
+                name="distributed", options={"policy": "adaptve"}
+            )),
+            "'adaptve'",
+        ),
+        # Bad fault strings are refused before the fault-free twin runs.
+        (
+            dict(faults=FaultSpec(crashes=("garbage",))),
+            "faults.crashes[0]: bad crash spec 'garbage'",
+        ),
+        (
+            dict(faults=FaultSpec(partitions=("buyer:0|rest@x",))),
+            "faults.partitions[0]: bad partition spec 'buyer:0|rest@x'",
+        ),
+        (
+            dict(faults=FaultSpec(crashes=("buyer:1@5-10", "buyer:1@7-12"))),
+            "faults: agent 'buyer:1' crash windows overlap",
+        ),
     )
-    for variant, name in ((spec, "plain.json"), (durable, "durable.json")):
-        assert main(["run", _write(tmp_path, variant, name)]) == 2
-        assert f"error: {info.value}" in capsys.readouterr().err
-    assert not run_dir.exists()  # refused before a run directory exists
+    for index, (fields, expected) in enumerate(bad_inputs):
+        spec = dataclasses.replace(chaos, **fields)
+        with pytest.raises(SpecError) as info:
+            Session(spec).run()
+        assert expected in str(info.value)
+        run_dir = tmp_path / f"run{index}"
+        durable = dataclasses.replace(
+            spec, durability=DurabilitySpec(checkpoint_dir=str(run_dir))
+        )
+        for variant, name in ((spec, "plain.json"), (durable, "durable.json")):
+            assert main(["run", _write(tmp_path, variant, name)]) == 2
+            assert f"error: {info.value}" in capsys.readouterr().err
+        assert not run_dir.exists()  # refused before a run directory exists
 
 
 def test_session_writes_metrics_and_reports_the_slo_verdict(tmp_path):

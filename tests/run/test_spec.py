@@ -245,7 +245,6 @@ class TestDurableIdentity:
                 checkpoint_dir="elsewhere",
                 checkpoint_every=spec.durability.checkpoint_every,
                 inject_stall_after=3,
-                max_retries=9,
             ),
         )
         assert twin.durable_identity() == spec.durable_identity()

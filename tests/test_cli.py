@@ -7,7 +7,11 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _spec_from_args, build_parser, main
+
+
+def _spec(argv):
+    return _spec_from_args(build_parser().parse_args(argv))
 
 
 class TestParser:
@@ -16,16 +20,14 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_figure_defaults(self):
-        args = build_parser().parse_args(["fig6"])
-        assert args.panel == "a"
-        assert args.repetitions is None
+        options = _spec(["fig6"]).engine.options
+        assert options["panel"] == "a"
+        assert options["repetitions"] is None
 
     def test_distributed_options(self):
-        args = build_parser().parse_args(
-            ["distributed", "--buyers", "12", "--policy", "adaptive"]
-        )
-        assert args.buyers == 12
-        assert args.policy == "adaptive"
+        spec = _spec(["distributed", "--buyers", "12", "--policy", "adaptive"])
+        assert spec.market.buyers == 12
+        assert spec.engine.options["policy"] == "adaptive"
 
 
 class TestCommands:
@@ -122,11 +124,11 @@ class TestChaosCommand:
     def test_crash_spec_parsing(self):
         from repro.distributed.faults import RestartMode
 
-        args = build_parser().parse_args(
+        spec = _spec(
             ["chaos", "--crash", "buyer:3@10-25/amnesia",
              "--crash", "seller:1@8"]
         )
-        first, second = args.crash
+        first, second = spec.faults.build_schedule().crashes
         assert first.agent_id == "buyer:3"
         assert (first.crash_slot, first.restart_slot) == (10, 25)
         assert first.mode is RestartMode.AMNESIA
@@ -134,10 +136,8 @@ class TestChaosCommand:
         assert second.mode is RestartMode.CHECKPOINT
 
     def test_partition_spec_parsing(self):
-        args = build_parser().parse_args(
-            ["chaos", "--partition", "buyer:0,buyer:1|rest@5-20"]
-        )
-        fault = args.partition[0]
+        spec = _spec(["chaos", "--partition", "buyer:0,buyer:1|rest@5-20"])
+        fault = spec.faults.build_schedule().partitions[0]
         assert fault.groups == (frozenset({"buyer:0", "buyer:1"}),)
         assert (fault.start_slot, fault.end_slot) == (5, 20)
 
@@ -222,13 +222,11 @@ class TestChaosCommand:
 
 class TestObservabilityFlags:
     def test_every_subcommand_accepts_trace_flags(self):
-        parser = build_parser()
         for command in ["toy", "counterexample", "fig6", "distributed",
                         "chaos", "swaps", "dynamic", "report"]:
-            args = parser.parse_args([command, "--trace-out", "x.jsonl",
-                                      "--metrics"])
-            assert args.trace_out == "x.jsonl"
-            assert args.metrics is True
+            spec = _spec([command, "--trace-out", "x.jsonl", "--metrics"])
+            assert spec.telemetry.trace_out == "x.jsonl"
+            assert spec.telemetry.metrics is True
 
     def test_toy_trace_out_writes_valid_jsonl(self, tmp_path, capsys):
         path = tmp_path / "toy.jsonl"

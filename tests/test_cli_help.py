@@ -13,7 +13,7 @@ import argparse
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import _spec_from_args, build_parser
 from repro.run.spec import RUN_COMMANDS
 
 #: Flags the observability parent must contribute to every run command.
@@ -136,26 +136,23 @@ def test_trace_subcommands_survive(commands):
     }
 
 
-def test_shared_flags_keep_their_defaults(commands):
+def test_shared_flags_keep_their_defaults():
     # Parent parsers must not perturb the documented defaults.
-    chaos = commands["chaos"]
-    defaults = {
-        action.dest: action.default
-        for action in chaos._actions
-        if action.option_strings
-    }
-    assert defaults["trace_flush_every"] == 1
-    assert defaults["slo"] == []
-    assert defaults["slo_policy"] == "warn"
-    assert defaults["checkpoint_every"] == 10
-    assert defaults["on_timeout"] == "degrade"
+    spec = _spec_from_args(build_parser().parse_args(["chaos"]))
+    assert spec.telemetry.trace_flush_every == 1
+    assert spec.telemetry.slo == ()
+    assert spec.telemetry.slo_policy == "warn"
+    assert spec.durability.checkpoint_every == 10
+    assert spec.faults.on_timeout == "degrade"
 
 
 def test_append_flag_defaults_are_not_shared_between_parses(commands):
     # Appending to a shared default list would leak --slo values across
     # parses through the parent parser; the append action must copy.
     parser = build_parser()
-    first = parser.parse_args(["toy", "--slo", "drop_rate<0.5"])
-    second = build_parser().parse_args(["toy"])
-    assert first.slo == ["drop_rate<0.5"]
-    assert second.slo == []
+    first = _spec_from_args(
+        parser.parse_args(["toy", "--slo", "drop_rate<0.5"])
+    )
+    second = _spec_from_args(build_parser().parse_args(["toy"]))
+    assert first.telemetry.slo == ("drop_rate<0.5",)
+    assert second.telemetry.slo == ()
