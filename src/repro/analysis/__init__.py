@@ -10,11 +10,7 @@ repeated trials into the exact series the paper plots:
 * Fig. 8 -- running time (rounds) of each stage/phase.
 """
 
-from repro.analysis.metrics import (
-    MatchingReport,
-    demand_satisfaction,
-    evaluate_matching,
-)
+from repro.analysis.metrics import demand_satisfaction
 from repro.analysis.stats import SeriesStats, summarize
 from repro.analysis.experiments import (
     ExperimentRow,
@@ -43,8 +39,6 @@ from repro.analysis.visualization import (
 )
 
 __all__ = [
-    "MatchingReport",
-    "evaluate_matching",
     "demand_satisfaction",
     "SeriesStats",
     "summarize",

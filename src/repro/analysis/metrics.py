@@ -1,15 +1,12 @@
-"""Matching-quality metrics.
+"""Matching-quality metrics beyond the shared validation report.
 
-:func:`evaluate_matching` condenses one matching into the quantities the
-paper reports or that are useful for diagnosing a run: social welfare,
-matched-buyer counts, per-agent utilities, and the stability verdicts of
-Section III.
-
-The scoring itself lives in the engine's shared validation pipeline
-(:mod:`repro.engine.validation`) -- the same code path behind every
+One matching's welfare, matched-buyer counts, per-agent utilities and
+the stability verdicts of Section III come from the engine's shared
+validation pipeline, :func:`repro.engine.validation.validate_matching`
+-- the same code path behind every
 :class:`~repro.engine.report.SolveReport` -- so analysis numbers can
-never drift from solver-report numbers.  :class:`MatchingReport` is the
-historical name for that pipeline's report and is kept as an alias.
+never drift from solver-report numbers.  This module adds the
+multi-demand view: :func:`demand_satisfaction`.
 """
 
 from __future__ import annotations
@@ -18,12 +15,8 @@ from typing import Dict
 
 from repro.core.market import SpectrumMarket
 from repro.core.matching import Matching
-from repro.engine.validation import ValidationReport, validate_matching
 
-__all__ = ["MatchingReport", "evaluate_matching", "demand_satisfaction"]
-
-#: Historical alias: analysis code predates the engine's validation layer.
-MatchingReport = ValidationReport
+__all__ = ["demand_satisfaction"]
 
 
 def demand_satisfaction(market: SpectrumMarket, matching: Matching) -> Dict[int, float]:
@@ -44,17 +37,3 @@ def demand_satisfaction(market: SpectrumMarket, matching: Matching) -> Dict[int,
         owner: granted.get(owner, 0) / count
         for owner, count in demanded.items()
     }
-
-
-def evaluate_matching(
-    market: SpectrumMarket,
-    matching: Matching,
-    check_stability: bool = True,
-) -> MatchingReport:
-    """Score ``matching`` on ``market`` via the shared validation pipeline.
-
-    ``check_stability=False`` skips the (O(MN)-ish) stability scans for
-    tight benchmark loops; the three stability verdicts then report
-    ``None`` -- feasibility and welfare are always computed.
-    """
-    return validate_matching(market, matching, check_stability)

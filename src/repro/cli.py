@@ -70,6 +70,9 @@ from repro.core.stability import (
     is_pairwise_stable,
     pairwise_blocking_pairs,
 )
+from repro.core.two_stage import run_two_stage
+from repro.distributed.protocol import run_distributed_matching
+from repro.ioutil import canonical_json
 from repro.obs import format_metrics_summary, get_recorder
 from repro.run.session import (
     RunLifecycle,
@@ -77,8 +80,6 @@ from repro.run.session import (
     build_market,
     build_policy,
     build_recorder,
-    execute_distributed,
-    execute_two_stage,
 )
 from repro.run.spec import (
     RUN_COMMANDS,
@@ -270,7 +271,8 @@ def _parse_config_entry(text: str) -> Tuple[str, object]:
 
     Values go through :func:`ast.literal_eval` so numbers, booleans and
     tuples arrive typed (``node_budget=100000``, ``repair=False``);
-    anything that does not parse stays a plain string.
+    anything that does not parse stays a plain string.  A literal the
+    spec cannot serialise (a set, bytes, a complex number) is refused.
     """
     key, sep, value = text.partition("=")
     if not sep or not key:
@@ -281,6 +283,13 @@ def _parse_config_entry(text: str) -> Tuple[str, object]:
         parsed: object = ast.literal_eval(value)
     except (ValueError, SyntaxError):
         parsed = value
+    try:
+        canonical_json(parsed)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"bad config entry {text!r} (VALUE must be a JSON value: a "
+            f"number, string, boolean, None, list, tuple or dict)"
+        )
     return key, parsed
 
 
@@ -1030,7 +1039,7 @@ def _cmd_distributed(session: Session) -> int:
     """The centralized reference, then one protocol run per policy."""
     spec = session.spec
     market = _created_market(session, "paper_simulation")
-    centralized = execute_two_stage(market, record_trace=False)
+    centralized = run_two_stage(market, record_trace=False)
     _set_slo_reference(session, centralized.social_welfare)
     print(
         f"market: N={spec.market.buyers} buyers, M={spec.market.sellers} "
@@ -1086,7 +1095,7 @@ def _cmd_chaos(session: Session) -> int:
     # The fault-free reference twin runs under the null recorder, so a
     # --trace-out trace contains only the chaos run itself and diffs
     # cleanly against a separately recorded fault-free trace.
-    reference = execute_distributed(
+    reference = run_distributed_matching(
         market, policy=policy, recorder=NULL_RECORDER
     )
     _set_slo_reference(session, reference.social_welfare)
@@ -1226,7 +1235,7 @@ def _cmd_report(session: Session) -> int:
 
     print("Toy example (Figs. 1-3):")
     toy = build_market(MarketSpec(scenario="toy"))
-    toy_result = execute_two_stage(toy, record_trace=False)
+    toy_result = run_two_stage(toy, record_trace=False)
     line(
         toy_result.welfare_stage1 == 27.0,
         f"Stage I welfare 27 (measured {toy_result.welfare_stage1:g})",
@@ -1238,7 +1247,7 @@ def _cmd_report(session: Session) -> int:
 
     print("Stability (Propositions 3-4, Section III-D):")
     ce = build_market(MarketSpec(scenario="counterexample"))
-    ce_result = execute_two_stage(ce, record_trace=False)
+    ce_result = run_two_stage(ce, record_trace=False)
     line(is_nash_stable(ce, ce_result.matching), "output Nash-stable")
     line(
         not is_pairwise_stable(ce, ce_result.matching),
@@ -1257,7 +1266,7 @@ def _cmd_report(session: Session) -> int:
         market = paper_simulation_market(
             8, 4, np.random.default_rng([seed, rep])
         )
-        result = execute_two_stage(market, record_trace=False)
+        result = run_two_stage(market, record_trace=False)
         best = optimal_matching_branch_and_bound(market).social_welfare(
             market.utilities
         )
@@ -1267,14 +1276,14 @@ def _cmd_report(session: Session) -> int:
 
     print("Distributed implementation (Section IV):")
     market = build_market(MarketSpec(buyers=12, sellers=3, seed=seed))
-    centralized = execute_two_stage(market, record_trace=False)
-    distributed = execute_distributed(market, policy=default_policy())
+    centralized = run_two_stage(market, record_trace=False)
+    distributed = run_distributed_matching(market, policy=default_policy())
     line(
         distributed.matching == centralized.matching,
         "default-rule protocol replays the centralised algorithm exactly",
     )
-    adaptive = execute_distributed(toy, policy=adaptive_policy())
-    default_run = execute_distributed(toy, policy=default_policy())
+    adaptive = run_distributed_matching(toy, policy=adaptive_policy())
+    default_run = run_distributed_matching(toy, policy=default_policy())
     line(
         adaptive.slots < default_run.slots,
         f"adaptive transition rules beat the default deadline "
@@ -1587,12 +1596,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             spec = _read_spec(args.spec)
         elif args.command in RUN_COMMANDS:
             spec = _spec_from_args(args)
+        if profile_run:  # `run` with a profile section, then the span table
+            profile = ProfileSpec(
+                profile_out=args.out, memory=not args.no_memory
+            )
+            spec = dataclasses.replace(spec, profile=profile)
+        if spec is not None:  # a dry run prints only a spec that runs
+            spec.validate()
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if profile_run:  # `run` with a profile section, then the span table
-        profile = ProfileSpec(profile_out=args.out, memory=not args.no_memory)
-        spec = dataclasses.replace(spec, profile=profile)
     if spec is not None and getattr(args, "dry_run", False):
         print(spec.to_json(indent=2))
         return 0

@@ -31,11 +31,17 @@ from repro.errors import ProtocolError
 from repro.obs.recorder import Recorder, resolve_recorder
 
 __all__ = [
+    "DEFAULT_MAX_SLOTS",
     "DistributedResult",
     "DistributedSimulation",
     "build_distributed_simulation",
     "run_distributed_matching",
+    "slot_budget",
 ]
+
+#: Slot bound of a distributed run that sets neither
+#: ``faults.deadline_slots`` nor ``engine.options.max_slots``.
+DEFAULT_MAX_SLOTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -334,12 +340,29 @@ def build_distributed_simulation(
     )
 
 
+def slot_budget(
+    deadline_slots: Optional[int], max_slots: int, on_timeout: str
+) -> Tuple[int, str]:
+    """The simulator's slot bound and timeout mode.
+
+    The bound is ``deadline_slots`` when set, else ``max_slots``.
+    ``on_timeout="degrade"`` maps to the kernel's ``"stop"`` (return the
+    best partial matching), ``"raise"`` to ``"raise"``.
+    """
+    if on_timeout not in ("raise", "degrade"):
+        raise ProtocolError(
+            f"on_timeout must be 'raise' or 'degrade', got {on_timeout!r}"
+        )
+    bound = deadline_slots if deadline_slots is not None else max_slots
+    return int(bound), ("stop" if on_timeout == "degrade" else "raise")
+
+
 def run_distributed_matching(
     market: SpectrumMarket,
     policy: Optional[TransitionPolicy] = None,
     network: Optional[Network] = None,
     seed: int = 0,
-    max_slots: int = 1_000_000,
+    max_slots: int = DEFAULT_MAX_SLOTS,
     reliable_transport: bool = False,
     retransmit_interval: int = 4,
     initial_matching: Optional[Matching] = None,
@@ -419,25 +442,19 @@ def run_distributed_matching(
         If the run fails to quiesce within its slot budget and
         ``on_timeout="raise"`` (e.g. under a lossy network without the
         ARQ transport, which the bare protocol does not tolerate).
-
-    This is now a shim over
-    :func:`repro.run.session.execute_distributed`, which holds the
-    execution body; behaviour and the emitted event stream are unchanged.
     """
-    from repro.run.session import execute_distributed
-
-    return execute_distributed(
+    bound, mode = slot_budget(deadline_slots, max_slots, on_timeout)
+    sim = build_distributed_simulation(
         market,
         policy=policy,
         network=network,
         seed=seed,
-        max_slots=max_slots,
         reliable_transport=reliable_transport,
         retransmit_interval=retransmit_interval,
         initial_matching=initial_matching,
         record_events=record_events,
         recorder=recorder,
         fault_schedule=fault_schedule,
-        deadline_slots=deadline_slots,
-        on_timeout=on_timeout,
     )
+    sim.emit_run_start()
+    return sim.finalize(sim.simulator.run(max_slots=bound, on_timeout=mode))

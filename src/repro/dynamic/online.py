@@ -156,14 +156,19 @@ class OnlineMatcher:
         Emits a closing ``dynamic.run_end`` event so the live run
         registry can mark the dynamic run finished (per-epoch ``step``
         calls only ever heartbeat it).
-
-        This is now a shim over
-        :func:`repro.run.session.execute_online_run`, which holds the
-        execution body; behaviour is unchanged.
         """
-        from repro.run.session import execute_online_run
-
-        return execute_online_run(self, epochs)
+        outcomes = [self.step(epoch) for epoch in epochs]
+        rec = resolve_recorder(self._recorder)
+        if rec.enabled and outcomes:
+            rec.emit(
+                "dynamic.run_end",
+                strategy=self.strategy.value,
+                epochs=len(outcomes),
+                social_welfare=outcomes[-1].social_welfare,
+                total_churned=sum(o.churned for o in outcomes),
+                total_rounds=sum(o.rounds for o in outcomes),
+            )
+        return outcomes
 
     # ------------------------------------------------------------------
     # Strategies

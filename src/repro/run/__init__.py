@@ -5,10 +5,10 @@ repo.  A :class:`RunSpec` is a frozen, JSON-round-trippable description
 of a run -- market, engine, faults, telemetry, durability, parallelism --
 and :class:`Session` validates it, assembles the observability and
 durability stacks uniformly, and dispatches to the right execution
-engine.  The legacy entrypoints (``run_two_stage``,
-``run_distributed_matching``, ``OnlineMatcher.run``, the durable
-runners, ``registry.solve``) are thin shims over the ``execute_*``
-functions exported here.
+engine.  Each engine has one name, in its own module
+(``run_two_stage``, ``run_distributed_matching``, ``OnlineMatcher.run``,
+``registry.solve``, ``runtime.durable.run_durable``), and :class:`Session`
+calls it.
 """
 
 from repro.run.spec import (
@@ -28,11 +28,6 @@ from repro.run.session import (
     build_market,
     build_recorder,
     build_slo_engine,
-    execute_distributed,
-    execute_durable,
-    execute_online_run,
-    execute_solve,
-    execute_two_stage,
     start_telemetry_server,
 )
 
@@ -52,9 +47,4 @@ __all__ = [
     "build_recorder",
     "build_slo_engine",
     "start_telemetry_server",
-    "execute_two_stage",
-    "execute_distributed",
-    "execute_online_run",
-    "execute_durable",
-    "execute_solve",
 ]

@@ -4,10 +4,8 @@ Every entry point -- ``Session(spec).run()``, every CLI command (``repro
 run`` and ``repro profile run`` included) and the durable runtime, fresh
 and resumed -- executes through this module:
 
-* the ``execute_*`` functions hold the five legacy entrypoints' bodies,
-  byte-for-byte in observable behaviour (the golden traces lock this);
-  the legacy entrypoints are thin deprecated shims over them;
-* the ``build_*`` functions (plus :func:`slot_budget` and
+* the ``build_*`` functions (plus
+  :func:`~repro.distributed.protocol.slot_budget` and
   :meth:`~repro.run.spec.FaultSpec.build_schedule`) are the only
   spec-to-engine assembly: market, recorder, transition policy, network,
   slot bound and dynamic generator;
@@ -15,9 +13,14 @@ and resumed -- executes through this module:
   telemetry server, profiler, final SLO verdict, ``serve_hold``,
   ``metrics_out`` -- shared by :meth:`Session.run` and the CLI;
 * :class:`Session` validates a spec and :meth:`Session.execute`
-  dispatches it to the right engine, returning the canonical result
-  object (``TwoStageResult``, ``DistributedResult``, ``SolveReport``,
-  epoch outcomes, or the durable result dict).
+  dispatches it to the engine's one public entry point, in the engine's
+  own module (:func:`~repro.core.two_stage.run_two_stage`,
+  :func:`~repro.distributed.protocol.run_distributed_matching`,
+  :meth:`~repro.dynamic.online.OnlineMatcher.run`,
+  :func:`~repro.engine.registry.solve`,
+  :func:`~repro.runtime.durable.run_durable`), returning the canonical
+  result object (``TwoStageResult``, ``DistributedResult``,
+  ``SolveReport``, epoch outcomes, or the durable result dict).
 
 Durable runs store :meth:`RunSpec.durable_identity` as their manifest
 config, so the run directory's ``config_hash`` is the hash of the spec's
@@ -28,16 +31,17 @@ from __future__ import annotations
 
 import contextlib
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from repro.core.deferred_acceptance import deferred_acceptance
-from repro.core.transfer_invitation import transfer_and_invitation
-from repro.core.two_stage import TwoStageResult
-from repro.distributed.protocol import build_distributed_simulation
-from repro.engine.validation import matching_welfare
-from repro.errors import ObservabilityError, ProtocolError, SpecError
+from repro.core.two_stage import run_two_stage
+from repro.distributed.protocol import (
+    DEFAULT_MAX_SLOTS,
+    run_distributed_matching,
+)
+from repro.engine import registry
+from repro.errors import ObservabilityError, SpecError
 from repro.ioutil import atomic_write_text
 from repro.obs import (
     JsonlEventSink,
@@ -48,7 +52,7 @@ from repro.obs import (
     build_manifest,
     use_recorder,
 )
-from repro.obs.recorder import get_recorder, resolve_recorder
+from repro.obs.recorder import get_recorder
 from repro.run.spec import (
     FaultSpec,
     MarketSpec,
@@ -58,7 +62,6 @@ from repro.run.spec import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_SLOTS",
     "Session",
     "RunLifecycle",
     "build_market",
@@ -69,194 +72,13 @@ __all__ = [
     "build_policy",
     "build_network",
     "build_generator",
-    "slot_budget",
-    "execute_two_stage",
-    "execute_distributed",
-    "execute_online_run",
-    "execute_durable",
-    "execute_solve",
 ]
 
-#: Slot bound of a distributed run that sets neither
-#: ``faults.deadline_slots`` nor ``engine.options.max_slots``.
-DEFAULT_MAX_SLOTS = 1_000_000
+#: The benchmark worker (``benchmarks/e2e/worker.py``) imports this name;
+#: it goes when the benchmark calls ``run_two_stage`` itself.
+execute_two_stage = run_two_stage
 
 _DURABLE_COMMANDS = ("distributed", "chaos", "dynamic")
-
-
-# ----------------------------------------------------------------------
-# Execution engines (the five legacy entrypoints' bodies live here)
-# ----------------------------------------------------------------------
-def execute_two_stage(
-    market,
-    record_trace: bool = True,
-    monotone_guard: bool = True,
-    recorder: Optional[Recorder] = None,
-) -> TwoStageResult:
-    """Run Algorithm 1 followed by Algorithm 2 on ``market``.
-
-    The execution body behind
-    :func:`repro.core.two_stage.run_two_stage`; see that shim for the
-    full parameter documentation.  The emitted event stream is locked
-    byte-for-byte by the golden-trace test.
-    """
-    rec = resolve_recorder(recorder)
-    utilities = market.utilities
-    if rec.enabled:
-        rec.emit(
-            "two_stage.start",
-            buyers=market.num_buyers,
-            channels=market.num_channels,
-        )
-    with rec.span("two_stage"):
-        stage_one = deferred_acceptance(
-            market,
-            record_trace=record_trace,
-            monotone_guard=monotone_guard,
-            recorder=rec,
-        )
-        stage_two = transfer_and_invitation(
-            market, stage_one.matching, record_trace=record_trace, recorder=rec
-        )
-    result = TwoStageResult(
-        matching=stage_two.matching,
-        stage_one=stage_one,
-        stage_two=stage_two,
-        welfare_stage1=matching_welfare(utilities, stage_one.matching),
-        welfare_phase1=matching_welfare(utilities, stage_two.matching_after_phase1),
-        welfare_phase2=matching_welfare(utilities, stage_two.matching),
-        rounds_stage1=stage_one.num_rounds,
-        rounds_phase1=stage_two.num_transfer_rounds,
-        rounds_phase2=stage_two.num_invitation_rounds,
-    )
-    if rec.enabled:
-        rec.emit(
-            "two_stage.result",
-            welfare_stage1=result.welfare_stage1,
-            welfare_phase1=result.welfare_phase1,
-            welfare_phase2=result.welfare_phase2,
-            rounds_stage1=result.rounds_stage1,
-            rounds_phase1=result.rounds_phase1,
-            rounds_phase2=result.rounds_phase2,
-            matched=result.matching.num_matched(),
-        )
-        metrics = rec.metrics
-        if metrics.enabled:
-            metrics.counter("two_stage.runs").inc()
-            metrics.gauge("two_stage.welfare_stage1").set(result.welfare_stage1)
-            metrics.gauge("two_stage.welfare_phase1").set(result.welfare_phase1)
-            metrics.gauge("two_stage.welfare_phase2").set(result.welfare_phase2)
-    return result
-
-
-def execute_distributed(
-    market,
-    policy=None,
-    network=None,
-    seed: int = 0,
-    max_slots: int = DEFAULT_MAX_SLOTS,
-    reliable_transport: bool = False,
-    retransmit_interval: int = 4,
-    initial_matching=None,
-    record_events: bool = False,
-    recorder: Optional[Recorder] = None,
-    fault_schedule=None,
-    deadline_slots: Optional[int] = None,
-    on_timeout: str = "raise",
-):
-    """Run the full message-level protocol on ``market``.
-
-    The execution body behind :func:`repro.distributed.protocol.
-    run_distributed_matching`; see that shim for the full parameter
-    documentation.
-    """
-    bound, mode = slot_budget(deadline_slots, max_slots, on_timeout)
-    sim = build_distributed_simulation(
-        market,
-        policy=policy,
-        network=network,
-        seed=seed,
-        reliable_transport=reliable_transport,
-        retransmit_interval=retransmit_interval,
-        initial_matching=initial_matching,
-        record_events=record_events,
-        recorder=recorder,
-        fault_schedule=fault_schedule,
-    )
-    sim.emit_run_start()
-    return sim.finalize(sim.simulator.run(max_slots=bound, on_timeout=mode))
-
-
-def execute_online_run(matcher, epochs) -> List:
-    """Step ``matcher`` through a whole epoch list.
-
-    The execution body behind
-    :meth:`repro.dynamic.online.OnlineMatcher.run` (the matcher is
-    duck-typed: anything with ``step``/``strategy`` and the private
-    recorder slot works).  Emits the closing ``dynamic.run_end`` event so
-    the live run registry can mark the dynamic run finished.
-    """
-    outcomes = [matcher.step(epoch) for epoch in epochs]
-    rec = resolve_recorder(matcher._recorder)
-    if rec.enabled and outcomes:
-        rec.emit(
-            "dynamic.run_end",
-            strategy=matcher.strategy.value,
-            epochs=len(outcomes),
-            social_welfare=outcomes[-1].social_welfare,
-            total_churned=sum(o.churned for o in outcomes),
-            total_rounds=sum(o.rounds for o in outcomes),
-        )
-    return outcomes
-
-
-def execute_durable(
-    kind: str,
-    run_dir,
-    config: Dict[str, Any],
-    *,
-    seed: int,
-    recorder: Optional[Recorder] = None,
-    inject_stall_after: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Run a durable (WAL + checkpoint) execution from scratch.
-
-    The execution body behind :func:`repro.runtime.durable.
-    run_durable_dynamic` and :func:`~repro.runtime.durable.
-    run_durable_chaos`.  ``config`` is either the legacy flat mapping
-    those shims document or a spec-shaped identity from
-    :meth:`~repro.run.spec.RunSpec.durable_identity`; the durable layer
-    reads either into a spec (:func:`repro.runtime.durable.
-    spec_from_store`), so old run directories keep resuming.
-    """
-    from repro.runtime.checkpoint import CheckpointStore
-    from repro.runtime.durable import _DurableRun, _run_to_completion
-
-    if kind not in ("dynamic", "chaos"):
-        raise SpecError(f"unknown durable run kind {kind!r}")
-    store = CheckpointStore.create(
-        run_dir, kind=kind, seed=int(seed), config=config
-    )
-    run = _DurableRun(
-        store, recorder, fresh=True, inject_stall_after=inject_stall_after
-    )
-    return _run_to_completion(run)
-
-
-def execute_solve(
-    name: str,
-    market,
-    *,
-    recorder: Optional[Recorder] = None,
-    config=None,
-):
-    """One-shot registry dispatch: ``get_solver(name).solve(market, ...)``.
-
-    The execution body behind :func:`repro.engine.registry.solve`.
-    """
-    from repro.engine.registry import get_solver
-
-    return get_solver(name).solve(market, recorder=recorder, config=config)
 
 
 # ----------------------------------------------------------------------
@@ -320,23 +142,6 @@ def build_network(faults: FaultSpec):
 
         return LossyNetwork(loss), True
     return None, False
-
-
-def slot_budget(
-    deadline_slots: Optional[int], max_slots: int, on_timeout: str
-) -> Tuple[int, str]:
-    """The simulator's slot bound and timeout mode.
-
-    The bound is ``deadline_slots`` when set, else ``max_slots``.
-    ``on_timeout="degrade"`` maps to the kernel's ``"stop"`` (return the
-    best partial matching), ``"raise"`` to ``"raise"``.
-    """
-    if on_timeout not in ("raise", "degrade"):
-        raise ProtocolError(
-            f"on_timeout must be 'raise' or 'degrade', got {on_timeout!r}"
-        )
-    bound = deadline_slots if deadline_slots is not None else max_slots
-    return int(bound), ("stop" if on_timeout == "degrade" else "raise")
 
 
 def build_generator(market: MarketSpec):
@@ -662,7 +467,7 @@ class Session:
         if self.durable:
             return self._run_durable()
         if command in ("toy", "counterexample"):
-            return execute_two_stage(self.market)
+            return run_two_stage(self.market)
         if command == "solve":
             return self._run_solve()
         if command in ("distributed", "chaos"):
@@ -681,7 +486,7 @@ class Session:
     def _run_solve(self):
         spec = self.spec
         options = dict(spec.engine.options)
-        return execute_solve(
+        return registry.solve(
             spec.engine.name,
             self.market,
             recorder=self.recorder,
@@ -689,18 +494,11 @@ class Session:
         )
 
     def _run_durable(self):
-        spec = self.spec
-        kind = "dynamic" if spec.command == "dynamic" else "chaos"
-        if kind == "chaos":
+        from repro.runtime.durable import run_durable
+
+        if self.spec.command != "dynamic":
             self.policy  # resolve now: a bad name fails before the run dir
-        return execute_durable(
-            kind,
-            spec.durability.checkpoint_dir,
-            spec.durable_identity(),
-            seed=spec.market.seed,
-            recorder=self.recorder,
-            inject_stall_after=spec.durability.inject_stall_after,
-        )
+        return run_durable(self.spec, recorder=self.recorder)
 
     def _run_distributed(self):
         spec = self.spec
@@ -713,7 +511,7 @@ class Session:
             if self._fault_schedule is not None
             else spec.faults.build_schedule()
         )
-        return execute_distributed(
+        return run_distributed_matching(
             self.market,
             policy=self.policy,
             network=network,
@@ -732,7 +530,7 @@ class Session:
     def _run_swaps(self):
         from repro.core.swap_extension import coordinated_swaps
 
-        result = execute_two_stage(self.market, record_trace=False)
+        result = run_two_stage(self.market, record_trace=False)
         return coordinated_swaps(self.market, result.matching)
 
     def _run_dynamic(self):
@@ -749,8 +547,8 @@ class Session:
         for strategy in strategies:
             generator = build_generator(spec.market)
             matcher = OnlineMatcher(strategy, recorder=self.recorder)
-            results[strategy] = execute_online_run(
-                matcher, generator.epochs(workload.epochs)
+            results[strategy] = matcher.run(
+                generator.epochs(workload.epochs)
             )
         return results
 

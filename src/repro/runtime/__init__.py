@@ -8,9 +8,11 @@ deterministic engines in :mod:`repro.dynamic` and :mod:`repro.distributed`:
   directory* holding a config-hashed manifest, a write-ahead log (one
   fsynced record per epoch/slot), atomic state snapshots, and the run's
   own event trace.
-* :mod:`repro.runtime.durable` -- durable runners that execute a dynamic
-  or distributed-chaos run while appending to the WAL and snapshotting
-  every N steps (``repro dynamic/chaos --checkpoint-dir``).
+* :mod:`repro.runtime.durable` -- :func:`~repro.runtime.durable.run_durable`
+  executes a dynamic or distributed run spec while appending to the WAL
+  and snapshotting every N steps (``repro dynamic/chaos
+  --checkpoint-dir``); the run directory stores the spec's durable
+  identity, the one config shape resume reads.
 * :mod:`repro.runtime.resume` -- crash-consistent resume
   (``repro resume RUN_DIR``): reload the latest valid checkpoint,
   truncate the trace and WAL to the snapshot's recorded offsets, replay
@@ -28,7 +30,7 @@ run exactly.
 """
 
 from repro.runtime.checkpoint import CheckpointStore, config_hash
-from repro.runtime.durable import run_durable_chaos, run_durable_dynamic
+from repro.runtime.durable import run_durable
 from repro.runtime.resume import resume_run
 from repro.runtime.supervise import (
     RetryPolicy,
@@ -40,8 +42,7 @@ from repro.runtime.supervise import (
 __all__ = [
     "CheckpointStore",
     "config_hash",
-    "run_durable_dynamic",
-    "run_durable_chaos",
+    "run_durable",
     "resume_run",
     "RetryPolicy",
     "Supervisor",

@@ -1,7 +1,11 @@
-"""Durable runners: execute a market run under WAL + checkpoint protection.
+"""Durable runs: execute a market run under WAL + checkpoint protection.
 
-These runners wrap the deterministic engines -- the epoch loop of
-:class:`~repro.dynamic.online.OnlineMatcher` and the slot loop of
+:func:`run_durable` runs a :class:`~repro.run.spec.RunSpec` from scratch
+in its checkpoint directory, whose manifest stores the spec's
+:meth:`~repro.run.spec.RunSpec.durable_identity`; :func:`spec_from_store`
+reads that identity back, for fresh and resumed runs alike.  The run
+wraps a deterministic engine -- the epoch loop of
+:class:`~repro.dynamic.online.OnlineMatcher` or the slot loop of
 :class:`~repro.distributed.simulator.TimeSlottedSimulator` -- with the
 durability protocol of :mod:`repro.runtime.checkpoint`:
 
@@ -24,11 +28,11 @@ only -- never into the run-dir trace -- which keeps the trace a pure
 function of (config, seed): an interrupted-and-resumed run's trace
 converges byte-for-byte with an uninterrupted one.
 
-``inject_stall_after=N`` (CLI ``--inject-stall-after``) makes the runner
-stop making progress after N WAL records: a deterministic crash/stall
-site used by the resume tests, the CI ``resume-smoke`` job and supervisor
-stall-detection tests.  It is deliberately refused on resume -- a resumed
-run must run to completion.
+``durability.inject_stall_after=N`` (CLI ``--inject-stall-after``) makes
+the run stop making progress after N WAL records: a deterministic
+crash/stall site used by the resume tests, the CI ``resume-smoke`` job
+and supervisor stall-detection tests.  It is deliberately refused on
+resume -- a resumed run must run to completion.
 """
 
 from __future__ import annotations
@@ -38,18 +42,20 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.distributed.protocol import build_distributed_simulation
+from repro.distributed.protocol import (
+    DEFAULT_MAX_SLOTS,
+    build_distributed_simulation,
+    slot_budget,
+)
 from repro.errors import CheckpointError
 from repro.obs.events import EventSink, JsonlEventSink
 from repro.obs.manifest import build_manifest
 from repro.obs.recorder import Recorder, resolve_recorder
 from repro.run.session import (
-    DEFAULT_MAX_SLOTS,
     build_generator,
     build_market,
     build_network,
     build_policy,
-    slot_budget,
 )
 from repro.run.spec import (
     DurabilitySpec,
@@ -60,19 +66,20 @@ from repro.run.spec import (
 )
 from repro.runtime.checkpoint import CheckpointStore
 
-__all__ = ["run_durable_dynamic", "run_durable_chaos", "spec_from_store"]
+__all__ = ["run_durable", "spec_from_store"]
+
+#: The top-level keys of :meth:`RunSpec.durable_identity` a run reads back.
+_IDENTITY_KEYS = ("command", "market", "engine", "faults", "checkpoint_every")
 
 
 def spec_from_store(store: CheckpointStore) -> RunSpec:
     """Read a run directory's stored config into the run's spec.
 
-    Durable run directories hold one of two config shapes: a spec-shaped
-    identity from :meth:`repro.run.spec.RunSpec.durable_identity` (Session
-    runs and the CLI), or the flat mapping documented on
-    :func:`run_durable_dynamic` / :func:`run_durable_chaos`, which is
-    nested into the first here.  This is the one reader of either, so
-    both shapes build and resume identically.  The market seed is always
-    the manifest's.
+    The stored config is the spec's
+    :meth:`~repro.run.spec.RunSpec.durable_identity`, which every durable
+    run writes; a config of any other shape is refused with a
+    :class:`~repro.errors.CheckpointError` naming the manifest.  The
+    market seed is always the manifest's.
     """
     if store.kind not in ("dynamic", "chaos"):
         raise CheckpointError(
@@ -80,32 +87,21 @@ def spec_from_store(store: CheckpointStore) -> RunSpec:
             f"build can resume 'dynamic' and 'chaos' runs"
         )
     config = store.config
-    if "market" not in config:
-        flat = config
-
-        def pick(*keys):
-            return {key: flat[key] for key in keys if key in flat}
-
-        config = {
-            "market": pick("buyers", "sellers"),
-            "engine": {"options": pick("policy", "max_slots")},
-            "faults": pick(
-                "loss", "crashes", "partitions", "deadline_slots", "on_timeout"
-            ),
-            **pick("checkpoint_every"),
-        }
-        if store.kind == "dynamic":
-            config["market"]["workload"] = pick(
-                "epochs", "arrival_rate", "departure_prob", "drift", "strategy"
-            )
+    missing = [key for key in _IDENTITY_KEYS if key not in config]
+    if missing:
+        raise CheckpointError(
+            f"run manifest {store.manifest_path} holds no run spec identity "
+            f"(config lacks {', '.join(missing)}); this build cannot "
+            f"rebuild the run"
+        )
     market = MarketSpec.from_dict(config["market"])
     return RunSpec(
-        command=config.get("command", store.kind),
+        command=config["command"],
         market=dataclasses.replace(market, seed=store.seed),
-        engine=EngineSpec.from_dict(config.get("engine", {})),
-        faults=FaultSpec.from_dict(config.get("faults", {})),
+        engine=EngineSpec.from_dict(config["engine"]),
+        faults=FaultSpec.from_dict(config["faults"]),
         durability=DurabilitySpec(
-            checkpoint_every=int(config.get("checkpoint_every") or 0)
+            checkpoint_every=int(config["checkpoint_every"])
         ),
     )
 
@@ -302,33 +298,6 @@ def _drive_dynamic(run: _DurableRun, generator, matcher) -> Dict[str, Any]:
     return result
 
 
-def run_durable_dynamic(
-    run_dir: "os.PathLike",
-    config: Dict[str, Any],
-    recorder: Optional[Recorder] = None,
-    inject_stall_after: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Run a dynamic market durably from scratch.
-
-    ``config`` keys: ``sellers``, ``buyers``, ``arrival_rate``,
-    ``departure_prob``, ``drift``, ``epochs``, ``seed``, ``strategy``
-    (``warm`` | ``cold``), ``checkpoint_every``.
-
-    A shim over :func:`repro.run.session.execute_durable`, which holds
-    the execution body; behaviour and the run-dir layout are unchanged.
-    """
-    from repro.run.session import execute_durable
-
-    return execute_durable(
-        "dynamic",
-        run_dir,
-        config,
-        seed=int(config["seed"]),
-        recorder=recorder,
-        inject_stall_after=inject_stall_after,
-    )
-
-
 # ----------------------------------------------------------------------
 # Distributed chaos (slot-stream) runs
 # ----------------------------------------------------------------------
@@ -404,39 +373,35 @@ def _drive_chaos(run: _DurableRun, sim) -> Dict[str, Any]:
     return result
 
 
-def run_durable_chaos(
-    run_dir: "os.PathLike",
-    config: Dict[str, Any],
-    recorder: Optional[Recorder] = None,
-    inject_stall_after: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Run a distributed chaos market durably from scratch.
-
-    ``config`` keys: ``buyers``, ``sellers``, ``seed``, ``policy``
-    (``default`` | ``adaptive``), ``loss``, ``crashes`` /``partitions``
-    (lists of CLI fault-spec strings -- see
-    :meth:`~repro.distributed.faults.CrashFault.parse`),
-    ``deadline_slots``, ``on_timeout``, ``max_slots``,
-    ``checkpoint_every``.
-
-    A shim over :func:`repro.run.session.execute_durable`, which holds
-    the execution body; behaviour and the run-dir layout are unchanged.
-    """
-    from repro.run.session import execute_durable
-
-    return execute_durable(
-        "chaos",
-        run_dir,
-        config,
-        seed=int(config["seed"]),
-        recorder=recorder,
-        inject_stall_after=inject_stall_after,
-    )
-
-
 # ----------------------------------------------------------------------
 # Fresh and resumed runs alike
 # ----------------------------------------------------------------------
+def run_durable(
+    spec: RunSpec, recorder: Optional[Recorder] = None
+) -> Dict[str, Any]:
+    """Run a ``distributed``, ``chaos`` or ``dynamic`` spec durably.
+
+    The run starts from scratch in ``spec.durability.checkpoint_dir``,
+    whose manifest stores :meth:`~repro.run.spec.RunSpec.durable_identity`
+    under the store kind ``dynamic`` (the ``dynamic`` command) or
+    ``chaos`` (the ``distributed`` and ``chaos`` commands).  ``recorder``
+    is the ambient recorder the run's events are tee'd into.
+    """
+    store = CheckpointStore.create(
+        spec.durability.checkpoint_dir,
+        kind="dynamic" if spec.command == "dynamic" else "chaos",
+        seed=spec.market.seed,
+        config=spec.durable_identity(),
+    )
+    run = _DurableRun(
+        store,
+        recorder,
+        fresh=True,
+        inject_stall_after=spec.durability.inject_stall_after,
+    )
+    return _run_to_completion(run)
+
+
 def _run_to_completion(
     run: _DurableRun, checkpoint: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:

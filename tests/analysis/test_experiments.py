@@ -10,8 +10,8 @@ from repro.analysis.experiments import (
     solver_grid_series,
     stage_breakdown_series,
 )
-from repro.analysis.metrics import evaluate_matching
 from repro.core.two_stage import run_two_stage
+from repro.engine.validation import validate_matching
 from repro.errors import SpectrumMatchingError
 from repro.workloads.scenarios import toy_example_market
 
@@ -105,7 +105,7 @@ class TestEvaluateMatching:
     def test_full_report_on_toy_example(self):
         market = toy_example_market()
         result = run_two_stage(market)
-        report = evaluate_matching(market, result.matching)
+        report = validate_matching(market, result.matching)
         assert report.social_welfare == pytest.approx(30.0)
         assert report.num_matched == 5
         assert report.matched_fraction == 1.0
@@ -117,46 +117,12 @@ class TestEvaluateMatching:
     def test_stability_skip_flag(self):
         market = toy_example_market()
         result = run_two_stage(market)
-        report = evaluate_matching(market, result.matching, check_stability=False)
+        report = validate_matching(market, result.matching, check_stability=False)
         assert report.interference_free  # always computed
         assert not report.nash_stable  # skipped -> conservative False
 
 
 class TestSolverSelection:
-    def test_use_bruteforce_warns_deprecation_exactly_once(self):
-        with pytest.warns(DeprecationWarning, match="use_bruteforce= is deprecated") as record:
-            optimal_comparison_series(
-                SweepAxis.BUYERS, [4], num_channels=3, repetitions=2, seed=6,
-                use_bruteforce=True,
-            )
-        deprecations = [
-            w for w in record if issubclass(w.category, DeprecationWarning)
-        ]
-        # One warning per call, not one per repetition/market: the flag is
-        # resolved once, up front, through EngineSpec.from_use_bruteforce.
-        assert len(deprecations) == 1
-
-    def test_solver_name_equals_deprecated_flag(self):
-        kwargs = dict(num_channels=3, repetitions=3, seed=7)
-        named = optimal_comparison_series(
-            SweepAxis.BUYERS, [5], solver="bruteforce", **kwargs
-        )
-        with pytest.warns(DeprecationWarning):
-            flagged = optimal_comparison_series(
-                SweepAxis.BUYERS, [5], use_bruteforce=True, **kwargs
-            )
-        assert named[0].series["welfare_optimal"].mean == pytest.approx(
-            flagged[0].series["welfare_optimal"].mean
-        )
-
-    def test_conflicting_selection_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SpectrumMatchingError, match="conflicting"):
-                optimal_comparison_series(
-                    SweepAxis.BUYERS, [4], num_channels=3, repetitions=1,
-                    seed=8, solver="branch_and_bound", use_bruteforce=True,
-                )
-
     def test_unknown_solver_fails_actionably(self):
         from repro.errors import SolverError
 

@@ -5,7 +5,8 @@ printed result: (a) the flags, (b) ``repro run`` on the spec ``--dry-run``
 prints, and (c) ``repro profile run`` on that spec.  (a) and (b) must also
 record behaviourally identical traces.  The spec-only cases pin the
 places the entry points used to disagree: ``max_slots``, a misspelt
-policy, and the telemetry settings ``Session`` used to skip.
+policy, a dry run of a spec ``repro run`` refuses, and the telemetry
+settings ``Session`` used to skip.
 """
 
 from __future__ import annotations
@@ -179,6 +180,18 @@ def test_misspelt_policy_fails_the_same_everywhere(tmp_path, capsys):
             assert main(["run", _write(tmp_path, variant, name)]) == 2
             assert f"error: {info.value}" in capsys.readouterr().err
         assert not run_dir.exists()  # refused before a run directory exists
+    # Flags that make a spec `repro run` refuses fail their dry run the
+    # same way: exit 2, the same error, nothing on stdout, no run directory.
+    run_dir = tmp_path / "dd"
+    assert main(["dynamic", "--epochs", "2", "--checkpoint-dir",
+                 str(run_dir), "--dry-run"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a durable dynamic run needs a single strategy "
+        "(--strategy warm|cold)\n"
+    )
+    assert not run_dir.exists()
 
 
 def test_session_writes_metrics_and_reports_the_slo_verdict(tmp_path):

@@ -1,13 +1,8 @@
-"""Session layer: shim equivalence, uniform assembly, durable identity.
+"""Session layer: dispatch, uniform assembly, durable identity.
 
-The tentpole contract in one file:
-
-* every legacy entrypoint (``run_two_stage``,
-  ``run_distributed_matching``, ``OnlineMatcher.run``, the durable
-  runners, registry ``solve``) is a thin shim whose emitted trace is
-  byte-identical to calling the Session executors directly;
-* ``Session(spec).run()`` reproduces the same results from a declarative
-  spec;
+* ``Session(spec).run()`` dispatches to each engine's one public entry
+  point and reproduces, from a declarative spec, the result and trace of
+  calling that entry point directly;
 * a durable run launched from a spec stores
   ``config_hash(spec.durable_identity())`` as its run-dir identity, and
   ``repro resume`` accepts that run dir.
@@ -15,12 +10,16 @@ The tentpole contract in one file:
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.two_stage import run_two_stage
+from repro.distributed.faults import CrashFault, FaultSchedule
+from repro.distributed.network import LossyNetwork
 from repro.distributed.protocol import run_distributed_matching
 from repro.dynamic.generator import DynamicMarketGenerator
 from repro.dynamic.online import OnlineMatcher, RematchStrategy
@@ -28,25 +27,23 @@ from repro.engine.registry import solve as registry_solve
 from repro.errors import SpecError
 from repro.ioutil import config_hash
 from repro.obs import JsonlEventSink, Recorder, use_recorder
-from repro.run.session import (
-    Session,
-    build_market,
-    build_recorder,
-    execute_distributed,
-    execute_durable,
-    execute_online_run,
-    execute_solve,
-    execute_two_stage,
-)
+from repro.run.session import Session, build_market, build_recorder
 from repro.run.spec import (
     DurabilitySpec,
     EngineSpec,
+    FaultSpec,
     MarketSpec,
     RunSpec,
     TelemetrySpec,
     WorkloadSpec,
 )
-from repro.workloads.scenarios import paper_simulation_market
+from repro.runtime.durable import run_durable
+from repro.trace.diff import diff_traces
+from repro.trace.reader import load_events
+from repro.workloads.scenarios import (
+    paper_simulation_market,
+    toy_example_market,
+)
 
 
 def _market(buyers=12, sellers=3, seed=5):
@@ -64,102 +61,148 @@ def _record(fn) -> str:
     return buffer.getvalue()
 
 
-class TestShimTraceEquivalence:
-    """Shim vs executor: byte-identical event streams and results."""
+def _session_trace(spec: RunSpec) -> str:
+    """Run ``spec`` through a Session with an injected recorder."""
+    buffer = io.StringIO()
+    recorder = Recorder(events=JsonlEventSink(buffer))
+    with recorder:
+        Session(spec, recorder=recorder).run()
+    return buffer.getvalue()
+
+
+def _untimed(trace: str):
+    """The events of ``trace`` without their wall/cpu timings."""
+    return [
+        {key: value for key, value in json.loads(line).items()
+         if not key.endswith("_s")}
+        for line in trace.splitlines()
+    ]
+
+
+class TestEntryPointEquivalence:
+    """A spec run by Session and the engine's own entry point called by
+    hand: identical event streams and results."""
 
     def test_run_two_stage(self):
-        market = _market()
-        via_shim = _record(lambda: run_two_stage(market))
-        via_executor = _record(lambda: execute_two_stage(market))
-        assert via_shim == via_executor and via_shim
+        spec = RunSpec(command="toy", market=MarketSpec(scenario="toy"))
+        direct = _record(lambda: run_two_stage(toy_example_market()))
+        assert _session_trace(spec) == direct and direct
 
-    def test_run_distributed_matching(self):
-        market = _market()
-        via_shim = _record(lambda: run_distributed_matching(market, seed=5))
-        via_executor = _record(lambda: execute_distributed(market, seed=5))
-        assert via_shim == via_executor and via_shim
-
-    def test_online_matcher_run(self):
-        def epochs():
-            return DynamicMarketGenerator(
-                num_channels=3,
-                initial_buyers=10,
-                arrival_rate=3.0,
-                departure_prob=0.1,
-                drift_sigma=0.05,
-                rng=np.random.default_rng(3),
-            ).epochs(4)
-
-        via_shim = _record(
-            lambda: OnlineMatcher(RematchStrategy.WARM).run(epochs())
+    def test_run_distributed_matching_with_faults(self):
+        # Loss and a crash: Session assembles the lossy network, the
+        # reliable transport and the fault schedule from the spec.
+        spec = RunSpec(
+            command="chaos",
+            market=MarketSpec(buyers=10, sellers=3, seed=3),
+            engine=EngineSpec(name="distributed", options={"policy": "default"}),
+            faults=FaultSpec(loss=0.1, crashes=("buyer:2@6-12",)),
         )
-        via_executor = _record(
-            lambda: execute_online_run(
-                OnlineMatcher(RematchStrategy.WARM), epochs()
+        direct = _record(
+            lambda: run_distributed_matching(
+                _market(10, 3, 3),
+                network=LossyNetwork(0.1),
+                reliable_transport=True,
+                seed=3,
+                fault_schedule=FaultSchedule(
+                    crashes=[CrashFault.parse("buyer:2@6-12")]
+                ),
             )
         )
-        assert via_shim == via_executor and via_shim
+        assert _session_trace(spec) == direct and direct
 
-    def test_registry_solve(self):
-        import json
-
-        def canonical(trace: str):
-            # Solve events carry wall/cpu timings; everything else in the
-            # stream must match byte-for-byte.
-            events = []
-            for line in trace.splitlines():
-                payload = json.loads(line)
-                events.append(
-                    {
-                        key: value
-                        for key, value in payload.items()
-                        if not key.endswith("_s")
-                    }
-                )
-            return events
-
-        market = _market()
-        via_shim = _record(lambda: registry_solve("two_stage", market))
-        via_executor = _record(lambda: execute_solve("two_stage", market))
-        assert canonical(via_shim) == canonical(via_executor)
-        assert via_shim
-
-    def test_durable_dynamic(self, tmp_path):
-        from repro.runtime.durable import run_durable_dynamic
-
-        config = dict(
-            sellers=3,
-            buyers=10,
+    def test_online_matcher_run(self):
+        workload = WorkloadSpec(
+            epochs=4,
             arrival_rate=3.0,
             departure_prob=0.1,
             drift=0.05,
-            epochs=4,
-            seed=11,
             strategy="warm",
-            checkpoint_every=2,
         )
-        shim_result = run_durable_dynamic(tmp_path / "shim", dict(config))
-        exec_result = execute_durable(
-            "dynamic", tmp_path / "exec", dict(config), seed=11
+        spec = RunSpec(
+            command="dynamic",
+            market=MarketSpec(buyers=10, sellers=3, seed=3, workload=workload),
+            engine=EngineSpec(name="dynamic"),
         )
-        assert shim_result == exec_result
+        epochs = DynamicMarketGenerator(
+            num_channels=3,
+            initial_buyers=10,
+            arrival_rate=3.0,
+            departure_prob=0.1,
+            drift_sigma=0.05,
+            rng=np.random.default_rng(3),
+        ).epochs(4)
+        direct = _record(
+            lambda: OnlineMatcher(RematchStrategy.WARM).run(epochs)
+        )
+        assert _session_trace(spec) == direct and direct
 
-    def test_durable_chaos(self, tmp_path):
-        from repro.runtime.durable import run_durable_chaos
+    def test_registry_solve(self):
+        spec = RunSpec(
+            command="solve",
+            market=MarketSpec(buyers=12, sellers=3, seed=5),
+            engine=EngineSpec(name="two_stage"),
+        )
+        direct = _record(lambda: registry_solve("two_stage", _market()))
+        # Solve events carry wall/cpu timings; the rest must match.
+        assert _untimed(_session_trace(spec)) == _untimed(direct) and direct
 
-        config = dict(
-            buyers=8,
-            sellers=3,
-            seed=2,
-            policy="default",
-            crashes=["buyer:1@4-9"],
-            checkpoint_every=3,
+    def _durable_pair(self, tmp_path, spec: RunSpec):
+        def at(name):
+            return dataclasses.replace(
+                spec,
+                durability=dataclasses.replace(
+                    spec.durability, checkpoint_dir=str(tmp_path / name)
+                ),
+            )
+
+        direct = run_durable(at("direct"))
+        via_session = Session(at("session")).run()
+        assert via_session == direct
+        diff = diff_traces(
+            load_events(str(tmp_path / "direct" / "trace.jsonl")),
+            load_events(str(tmp_path / "session" / "trace.jsonl")),
         )
-        shim_result = run_durable_chaos(tmp_path / "shim", dict(config))
-        exec_result = execute_durable(
-            "chaos", tmp_path / "exec", dict(config), seed=2
+        assert not diff.diverged
+
+    def test_run_durable_dynamic(self, tmp_path):
+        workload = WorkloadSpec(
+            epochs=4,
+            arrival_rate=3.0,
+            departure_prob=0.1,
+            drift=0.05,
+            strategy="warm",
         )
-        assert shim_result == exec_result
+        self._durable_pair(
+            tmp_path,
+            RunSpec(
+                command="dynamic",
+                market=MarketSpec(
+                    buyers=10, sellers=3, seed=11, workload=workload
+                ),
+                engine=EngineSpec(name="dynamic"),
+                durability=DurabilitySpec(checkpoint_every=2),
+            ),
+        )
+
+    def test_run_durable_chaos(self, tmp_path):
+        self._durable_pair(
+            tmp_path,
+            RunSpec(
+                command="chaos",
+                market=MarketSpec(buyers=8, sellers=3, seed=2),
+                engine=EngineSpec(
+                    name="distributed", options={"policy": "default"}
+                ),
+                faults=FaultSpec(crashes=("buyer:1@4-9",)),
+                durability=DurabilitySpec(checkpoint_every=3),
+            ),
+        )
+
+    def test_benchmark_alias_is_the_entry_point(self):
+        # benchmarks/e2e/worker.py imports this name from the Session module.
+        from repro.run.session import execute_two_stage
+
+        assert execute_two_stage is run_two_stage
 
 
 class TestSessionDispatch:
@@ -176,7 +219,7 @@ class TestSessionDispatch:
             engine=EngineSpec(name="distributed", options={"policy": "default"}),
         )
         session_run = Session(spec).run()
-        direct = execute_distributed(_market(), seed=5)
+        direct = run_distributed_matching(_market(), seed=5)
         assert session_run.matching == direct.matching
         assert session_run.slots == direct.slots
 
@@ -187,15 +230,13 @@ class TestSessionDispatch:
             engine=EngineSpec(name="distributed", options={"policy": "default"}),
         )
         # Session dispatch with an injected recorder emits the identical
-        # stream the direct executor does.
+        # stream a direct call of the engine does.
         buffer = io.StringIO()
         recorder = Recorder(events=JsonlEventSink(buffer))
         with recorder:
             Session(spec, recorder=recorder).run()
-        via_executor = _record(
-            lambda: execute_distributed(_market(), seed=5)
-        )
-        assert buffer.getvalue() == via_executor and via_executor
+        direct = _record(lambda: run_distributed_matching(_market(), seed=5))
+        assert buffer.getvalue() == direct and direct
 
     def test_dynamic_runs_both_strategies(self):
         spec = RunSpec(
@@ -260,7 +301,7 @@ class TestUniformAssembly:
             config=spec.to_dict(),
         )
         with recorder, use_recorder(recorder):
-            execute_two_stage(build_market(spec.market))
+            run_two_stage(build_market(spec.market))
         lines = trace.read_text().splitlines()
         manifest = json.loads(lines[0])
         assert manifest["event"] == "manifest"

@@ -280,39 +280,3 @@ class TestDurableIdentity:
         assert config_hash(changed.durable_identity()) != config_hash(
             spec.durable_identity()
         )
-
-
-class TestEngineSpecDeprecationShim:
-    def test_warns_exactly_once(self):
-        with pytest.warns(DeprecationWarning) as record:
-            engine = EngineSpec.from_use_bruteforce(True)
-        deprecations = [
-            w for w in record if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert engine.name == "bruteforce"
-
-    def test_flag_mapping_matches_registry_dispatch(self):
-        from repro.engine import get_solver
-
-        with pytest.warns(DeprecationWarning):
-            on = EngineSpec.from_use_bruteforce(True)
-        with pytest.warns(DeprecationWarning):
-            off = EngineSpec.from_use_bruteforce(
-                False, default="branch_and_bound"
-            )
-        assert get_solver(on.name).name == "bruteforce"
-        assert get_solver(off.name).name == "branch_and_bound"
-
-    def test_none_flag_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine = EngineSpec.from_use_bruteforce(None, solver="greedy")
-        assert engine.name == "greedy"
-
-    def test_conflicting_selection_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SpecError, match="conflicting"):
-                EngineSpec.from_use_bruteforce(True, solver="branch_and_bound")

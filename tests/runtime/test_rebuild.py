@@ -1,20 +1,23 @@
-"""The durable rebuild from both stored config shapes.
+"""The durable rebuild from the stored config.
 
-A run directory stores its config in one of two shapes: the flat mapping
-``run_durable_dynamic`` / ``run_durable_chaos`` document, or the
-spec-shaped identity a ``Session`` run writes.  ``resume_run`` reads
-either into a spec, rebuilds the engine from it, restores the latest
+A run directory stores its config in one shape: the spec's
+``durable_identity()``, which every durable run writes.  ``resume_run``
+reads it into a spec, rebuilds the engine from it, restores the latest
 checkpoint and replays the rest of the run against the WAL.  Deleting
 ``result.json`` from a finished run forces exactly that path; the
-rebuilt run must land on the identical result and trace.
+rebuilt run must land on the identical result and trace.  A manifest
+whose config has any other shape (the flat mapping older durable
+runners wrote) is refused.
 """
 
 from __future__ import annotations
 
+import re
 import shutil
 
 import pytest
 
+from repro.errors import CheckpointError
 from repro.run.session import Session
 from repro.run.spec import (
     DurabilitySpec,
@@ -24,12 +27,7 @@ from repro.run.spec import (
     RunSpec,
     WorkloadSpec,
 )
-from repro.runtime import (
-    CheckpointStore,
-    resume_run,
-    run_durable_chaos,
-    run_durable_dynamic,
-)
+from repro.runtime import CheckpointStore, resume_run
 from repro.trace.diff import diff_traces
 from repro.trace.reader import load_events
 
@@ -95,42 +93,42 @@ def _spec(kind: str, run_dir) -> RunSpec:
     )
 
 
-def _write_run(kind: str, shape: str, run_dir) -> None:
-    if shape == "spec":
-        Session(_spec(kind, run_dir)).run()
-    elif kind == "dynamic":
-        run_durable_dynamic(run_dir, dict(DYNAMIC_FLAT))
-    else:
-        run_durable_chaos(run_dir, dict(CHAOS_FLAT))
+@pytest.mark.parametrize("kind", ["dynamic", "chaos"])
+def test_rebuild_from_stored_spec(tmp_path, kind):
+    run_dir = tmp_path / "run"
+    spec = _spec(kind, run_dir)
+    Session(spec).run()
+    store = CheckpointStore.open(run_dir)
+    assert store.config == spec.durable_identity()
+    expected_checkpoints = 3 if kind == "dynamic" else 6
+    assert len(list(store.checkpoint_dir.glob("ckpt-*.json"))) == (
+        expected_checkpoints
+    )
+    result = (run_dir / "result.json").read_bytes()
+    trace = tmp_path / "trace.jsonl"
+    shutil.copy(run_dir / "trace.jsonl", trace)
+    records, _ = store.read_wal()
+    checkpoint = store.latest_checkpoint()
+    assert checkpoint["wal_records"] < len(records)  # a tail to verify
+
+    (run_dir / "result.json").unlink()
+    resume_run(run_dir)
+
+    assert (run_dir / "result.json").read_bytes() == result
+    diff = diff_traces(
+        load_events(str(trace)), load_events(str(run_dir / "trace.jsonl"))
+    )
+    assert not diff.diverged
 
 
 @pytest.mark.parametrize("kind", ["dynamic", "chaos"])
-def test_rebuild_from_both_config_shapes(tmp_path, kind):
-    results = {}
-    for shape in ("flat", "spec"):
-        run_dir = tmp_path / shape
-        _write_run(kind, shape, run_dir)
-        store = CheckpointStore.open(run_dir)
-        assert ("market" in store.config) == (shape == "spec")
-        expected_checkpoints = 3 if kind == "dynamic" else 6
-        assert len(list(store.checkpoint_dir.glob("ckpt-*.json"))) == (
-            expected_checkpoints
-        )
-        result = (run_dir / "result.json").read_bytes()
-        trace = tmp_path / f"{shape}.trace.jsonl"
-        shutil.copy(run_dir / "trace.jsonl", trace)
-        records, _ = store.read_wal()
-        checkpoint = store.latest_checkpoint()
-        assert checkpoint["wal_records"] < len(records)  # a tail to verify
-
-        (run_dir / "result.json").unlink()
-        resume_run(run_dir)
-
-        assert (run_dir / "result.json").read_bytes() == result
-        diff = diff_traces(
-            load_events(str(trace)), load_events(str(run_dir / "trace.jsonl"))
-        )
-        assert not diff.diverged
-        results[shape] = result
-    # Both shapes describe the same run.
-    assert results["flat"] == results["spec"]
+def test_flat_config_is_refused(tmp_path, kind):
+    flat = DYNAMIC_FLAT if kind == "dynamic" else CHAOS_FLAT
+    store = CheckpointStore.create(
+        tmp_path / "run", kind=kind, seed=flat["seed"], config=dict(flat)
+    )
+    with pytest.raises(
+        CheckpointError, match=re.escape(str(store.manifest_path))
+    ):
+        resume_run(tmp_path / "run")
+    assert not store.completed

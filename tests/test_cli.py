@@ -340,6 +340,28 @@ class TestSolverCommands:
         out = capsys.readouterr().out
         assert "quota=2" in out
 
+    @pytest.mark.parametrize("bad", ["x={1,2}", "x=b'1'", "x=1j"])
+    def test_solve_config_values_must_be_json(self, capsys, bad):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--solver", "greedy", "--config", bad,
+                  "--dry-run"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"bad config entry {bad!r}" in captured.err
+        assert captured.out == ""
+
+    def test_solve_config_values_keep_their_types(self):
+        spec = _spec(["solve", "--solver", "greedy",
+                      "--config", "node_budget=100000",
+                      "--config", "repair=False",
+                      "--config", "pair=(1, 2)",
+                      "--config", "mode=fast"])
+        assert spec.engine.options == {
+            "node_budget": 100000, "repair": False, "pair": (1, 2),
+            "mode": "fast",
+        }
+        assert type(spec.engine.options["pair"]) is tuple
+
     def test_solve_unknown_solver_fails_actionably(self, capsys):
         assert main(["solve", "--solver", "nope"]) == 2
         err = capsys.readouterr().err
