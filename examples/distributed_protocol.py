@@ -3,9 +3,9 @@
 
 Everything in the other examples uses the centralised reference loops.
 This example runs the Section IV implementation instead: every buyer and
-seller is an independent agent exchanging Propose / Evict / TransferApply
-/ Invite messages over a time-slotted network, each deciding locally when
-to move from Stage I to Stage II.
+seller is an independent agent exchanging Propose / Stage1Decision /
+TransferApply / Invite messages over a time-slotted network, each deciding
+locally when to move from Stage I to Stage II.
 
 It compares the paper's transition rules on one market -- the default
 rule (wait out the MN worst case) versus the probability-driven adaptive

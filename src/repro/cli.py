@@ -82,6 +82,7 @@ from repro.run.session import (
     build_recorder,
 )
 from repro.run.spec import (
+    POLICIES,
     RUN_COMMANDS,
     SPEC_SCHEMA_VERSION,
     MarketSpec,
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(dist)
     dist.add_argument(
         "--policy",
-        choices=["default", "adaptive", "both"],
+        choices=[*POLICIES, "both"],
         default="both",
         dest="engine.options.policy",
     )
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(chaos)
     chaos.add_argument(
         "--policy",
-        choices=["default", "adaptive"],
+        choices=POLICIES,
         default="default",
         dest="engine.options.policy",
     )
@@ -1050,7 +1051,7 @@ def _cmd_distributed(session: Session) -> int:
     if loss > 0.0:
         print(f"network: {loss:.0%} message loss, ARQ transport enabled")
     chosen = spec.engine.options.get("policy", "both")
-    for name in ("default", "adaptive") if chosen == "both" else (chosen,):
+    for name in POLICIES if chosen == "both" else (chosen,):
         run = Session(
             spec,
             recorder=session.recorder,

@@ -6,45 +6,49 @@ every step off received messages and local knowledge only:
 * her own utility vector (private valuation);
 * her interference neighbourhoods per channel (obtainable by spectrum
   sensing, as assumed throughout the paper);
-* the coalition/proposer digests her current seller includes in
-  ``WaitlistUpdate`` messages (what makes transition rules I/II evaluable).
+* the coalition/proposer digests her Stage-I seller includes in
+  ``Stage1Decision`` messages (what makes transition rules I/II
+  evaluable).
 
 Stage I: propose down the preference list, one outstanding proposal at a
 time; on eviction resume proposing.  Transition to Stage II per the
 configured rule, on the seller's notification (rule III), or when the
 proposal list is exhausted.
 
+The buyer keeps one **Stage-I seller**: the seller she proposed to, for
+as long as that seller holds her.  Any decision from that seller answers
+her proposal; a not-admitted decision or a Stage-II move ends the link,
+and a Stage-I decision from any other seller is stale and ignored.  That
+is what keeps her view right when the network reorders messages: an
+admission delivered after the eviction that followed it, or after she
+moved on, no longer re-matches her.
+
 Stage II: send transfer applications down ``T_j`` (one outstanding at a
 time, skipping channels no longer strictly better than the current match),
-confirm or decline the resulting offers, and answer invitations at any
+take or decline the resulting offers, and answer invitations at any
 time.  On every move the buyer explicitly informs her previous seller with
 a ``Leave`` message.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 import numpy as np
 
 from repro.core.market import SpectrumMarket
 from repro.core.preferences import buyer_preference_order
 from repro.distributed.messages import (
-    Evict,
     Invite,
-    InviteAccept,
-    InviteDecline,
+    InviteAnswer,
     Leave,
     Message,
-    ProposalReject,
     Propose,
     SellerStageNotify,
+    Stage1Decision,
+    TransferAnswer,
     TransferApply,
-    TransferConfirm,
-    TransferDecline,
-    TransferOffer,
-    TransferReject,
-    WaitlistUpdate,
+    TransferVerdict,
 )
 from repro.distributed.probability import eviction_probability
 from repro.distributed.simulator import Agent, SlotContext
@@ -97,10 +101,11 @@ class BuyerAgent(Agent):
         # Stage I state.
         self.stage = 1
         self._unproposed: List[int] = buyer_preference_order(market, buyer)
-        self._outstanding_proposal: Optional[int] = None
+        #: The seller she proposed to, while that seller holds her.
+        self._stage1_seller: Optional[int] = None
         self.current_channel: Optional[int] = None
         #: Cumulative proposer set reported by the current seller.
-        self._proposers_at_current: Set[int] = set()
+        self._proposers_at_current: FrozenSet[int] = frozenset()
 
         # Stage II state.
         self._unapplied: List[int] = []
@@ -127,9 +132,13 @@ class BuyerAgent(Agent):
             return 0.0
         return float(self._utilities[self.current_channel])
 
+    def _better(self, channel: int) -> bool:
+        """Whether ``channel`` is strictly better than the current match."""
+        return float(self._utilities[channel]) > self.current_utility()
+
     def _become_unmatched(self) -> None:
         self.current_channel = None
-        self._proposers_at_current = set()
+        self._proposers_at_current = frozenset()
         if self.stage == 2:
             # Evicted after an early transition (the risk Section IV-A
             # quantifies): rebuild the transfer list against a baseline of
@@ -150,16 +159,16 @@ class BuyerAgent(Agent):
         if self.stage == 2:
             return
         self.stage = 2
-        self._outstanding_proposal = None
         self._rebuild_unapplied()
 
     def _move_to(self, channel: int, ctx: SlotContext) -> None:
-        """Commit a move (transfer confirm or invite accept)."""
+        """Commit a move (a taken offer or an accepted invitation)."""
         previous = self.current_channel
         if previous is not None and previous != channel:
             ctx.send(seller_agent_id(previous), Leave(self.agent_id, self.buyer))
         self.current_channel = channel
-        self._proposers_at_current = set()
+        self._stage1_seller = None
+        self._proposers_at_current = frozenset()
 
     # ------------------------------------------------------------------
     # Transition rules
@@ -205,49 +214,43 @@ class BuyerAgent(Agent):
             self._act_stage2(ctx)
 
     def _handle(self, message: Message, ctx: SlotContext) -> None:
-        if isinstance(message, WaitlistUpdate):
-            if self._outstanding_proposal == message.channel:
-                self._outstanding_proposal = None
-            self.current_channel = message.channel
-            self._proposers_at_current = set(message.proposers_so_far)
-        elif isinstance(message, Evict):
-            if self.current_channel == message.channel:
-                self._become_unmatched()
-        elif isinstance(message, ProposalReject):
-            if self._outstanding_proposal == message.channel:
-                self._outstanding_proposal = None
+        if isinstance(message, Stage1Decision):
+            if message.channel != self._stage1_seller:
+                return  # stale: not from the seller that holds her now
+            if self.buyer in message.coalition:
+                self.current_channel = message.channel
+                # Digests are cumulative, so a newer one holds every older
+                # one; only a delayed digest needs a union.
+                digest = message.proposers_so_far
+                if not digest >= self._proposers_at_current:
+                    digest = digest | self._proposers_at_current
+                self._proposers_at_current = digest
+            else:
+                self._stage1_seller = None
+                if self.current_channel == message.channel:
+                    self._become_unmatched()
         elif isinstance(message, SellerStageNotify):
             if self.current_channel == message.channel and self.stage == 1:
                 self._enter_stage2()  # rule III
-        elif isinstance(message, TransferOffer):
+        elif isinstance(message, TransferVerdict):
             if self._outstanding_application == message.channel:
                 self._outstanding_application = None
-            if float(self._utilities[message.channel]) > self.current_utility():
+            if message.offered:
+                take = self._better(message.channel)
                 ctx.send(
                     seller_agent_id(message.channel),
-                    TransferConfirm(self.agent_id, self.buyer),
+                    TransferAnswer(self.agent_id, self.buyer, take),
                 )
-                self._move_to(message.channel, ctx)
-            else:
-                ctx.send(
-                    seller_agent_id(message.channel),
-                    TransferDecline(self.agent_id, self.buyer),
-                )
-        elif isinstance(message, TransferReject):
-            if self._outstanding_application == message.channel:
-                self._outstanding_application = None
+                if take:
+                    self._move_to(message.channel, ctx)
         elif isinstance(message, Invite):
-            if float(self._utilities[message.channel]) > self.current_utility():
-                ctx.send(
-                    seller_agent_id(message.channel),
-                    InviteAccept(self.agent_id, self.buyer),
-                )
+            accept = self._better(message.channel)
+            ctx.send(
+                seller_agent_id(message.channel),
+                InviteAnswer(self.agent_id, self.buyer, accept),
+            )
+            if accept:
                 self._move_to(message.channel, ctx)
-            else:
-                ctx.send(
-                    seller_agent_id(message.channel),
-                    InviteDecline(self.agent_id, self.buyer),
-                )
         else:
             raise ProtocolError(
                 f"buyer {self.buyer} cannot handle message {message!r}"
@@ -255,11 +258,11 @@ class BuyerAgent(Agent):
 
     def _act_stage1(self, ctx: SlotContext) -> None:
         if self.current_channel is None:
-            if self._outstanding_proposal is not None:
+            if self._stage1_seller is not None:
                 return  # stop-and-wait: a proposal is in flight
             if self._unproposed:
                 channel = self._unproposed.pop(0)
-                self._outstanding_proposal = channel
+                self._stage1_seller = channel
                 ctx.send(
                     seller_agent_id(channel), Propose(self.agent_id, self.buyer)
                 )
@@ -316,7 +319,7 @@ class BuyerAgent(Agent):
         return {
             "stage": self.stage,
             "unproposed": list(self._unproposed),
-            "outstanding_proposal": self._outstanding_proposal,
+            "stage1_seller": self._stage1_seller,
             "current_channel": self.current_channel,
             "proposers_at_current": set(self._proposers_at_current),
             "unapplied": list(self._unapplied),
@@ -327,9 +330,9 @@ class BuyerAgent(Agent):
     def restore(self, state: dict) -> None:
         self.stage = state["stage"]
         self._unproposed = list(state["unproposed"])
-        self._outstanding_proposal = state["outstanding_proposal"]
+        self._stage1_seller = state["stage1_seller"]
         self.current_channel = state["current_channel"]
-        self._proposers_at_current = set(state["proposers_at_current"])
+        self._proposers_at_current = frozenset(state["proposers_at_current"])
         self._unapplied = list(state["unapplied"])
         self._applied = set(state["applied"])
         self._outstanding_application = state["outstanding_application"]

@@ -16,7 +16,7 @@ module supplies the declarative vocabulary:
   a slot window; messages crossing group boundaries are dropped.
 * :class:`MessageFault` -- drop or delay only messages of given types
   (optionally restricted to one sender/destination) over a slot window,
-  e.g. a blackout window for ``TransferConfirm`` only.
+  e.g. a blackout window for ``TransferAnswer`` only.
 * :class:`FaultSchedule` -- an immutable bundle of the above, executed by
   :class:`~repro.distributed.simulator.TimeSlottedSimulator` (crashes and
   restarts) and :class:`PartitionedNetwork` (partitions and message
@@ -230,7 +230,7 @@ class MessageFault:
     """Drop or delay messages of the named types over a slot window.
 
     ``message_types`` are message *class names* (``"Propose"``,
-    ``"TransferConfirm"``, ...; for ARQ-wrapped populations the wire types
+    ``"TransferAnswer"``, ...; for ARQ-wrapped populations the wire types
     are ``"DataFrame"`` / ``"AckFrame"``).  ``sender`` / ``destination``
     of ``None`` match any endpoint.  ``action="drop"`` loses the message;
     ``action="delay"`` defers its delivery by ``delay`` extra slots.

@@ -5,39 +5,43 @@ Agent identifiers on the wire are strings (``"buyer:<j>"`` /
 ``"seller:<i>"``, see :mod:`repro.distributed.protocol`); the payloads use
 raw ids so messages stay trivially serialisable.
 
-Handshakes
-----------
-Stage I proposals are single-shot: ``Propose`` is answered by
-``WaitlistUpdate`` (the buyer is in the coalition), ``ProposalReject``
-(never admitted) or a later ``Evict``.  Stage II acceptances are
-*offer/confirm* handshakes (``TransferOffer`` -> ``TransferConfirm`` /
-``TransferDecline``), because an asynchronous buyer may have found a
-better match between applying and being accepted; the seller only commits
-a buyer on confirmation, so coalitions never go stale.  Invitations are
-also two-step (``Invite`` -> ``InviteAccept`` / ``InviteDecline``) with at
-most one invitation outstanding per seller.
+One reply kind per request
+--------------------------
+Every request has exactly one reply kind, whose fields carry the verdict:
+
+* ``Propose`` -> ``Stage1Decision``: the seller's current coalition; the
+  buyer is admitted iff she is in it.  A seller sends a decision to every
+  buyer the decision concerns: the members (still in), the displaced (no
+  longer in) and the rejected proposers (never in).
+* ``TransferApply`` -> ``TransferVerdict(offered)`` -> ``TransferAnswer
+  (take)``: Stage II acceptances are *offer/confirm* handshakes, because
+  an asynchronous buyer may have found a better match between applying
+  and being accepted; the seller only commits a buyer who takes the
+  offer, so coalitions never go stale.
+* ``Invite`` -> ``InviteAnswer(accept)``, with at most one invitation
+  outstanding per seller.
+
+``SellerStageNotify`` and ``Leave`` are one-way notices.  No message
+carries a sequence number or slot stamp: a buyer tells a fresh Stage-I
+decision from a stale one by its sender alone (see
+:class:`~repro.distributed.buyer_agent.BuyerAgent`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet
 
 __all__ = [
     "Message",
     "Propose",
-    "WaitlistUpdate",
-    "Evict",
-    "ProposalReject",
+    "Stage1Decision",
     "SellerStageNotify",
     "TransferApply",
-    "TransferOffer",
-    "TransferReject",
-    "TransferConfirm",
-    "TransferDecline",
+    "TransferVerdict",
+    "TransferAnswer",
     "Invite",
-    "InviteAccept",
-    "InviteDecline",
+    "InviteAnswer",
     "Leave",
 ]
 
@@ -60,38 +64,22 @@ class Propose(Message):
 
 
 @dataclass(frozen=True)
-class WaitlistUpdate(Message):
-    """Seller -> waitlisted buyer: you are (still) in my coalition.
+class Stage1Decision(Message):
+    """Seller -> buyer: my coalition after this slot's proposals.
 
-    Carries the current coalition and the cumulative set of buyers who have
-    ever proposed to this seller.  The extra context is what lets buyers
-    evaluate transition rules I and II locally (Section IV-A): rule I needs
-    to know which interfering neighbours have already proposed; rule II
-    needs the count of those who have not.
+    The recipient is admitted iff she is in ``coalition``; otherwise she
+    was displaced or her proposal was declined (always so after the
+    seller's stage transition: "a seller cannot grant proposals anymore",
+    Section IV-B).  ``proposers_so_far`` is the cumulative set of buyers
+    who have ever proposed to this seller.  That context is what lets
+    buyers evaluate transition rules I and II locally (Section IV-A):
+    rule I needs to know which interfering neighbours have already
+    proposed; rule II needs the count of those who have not.
     """
 
     channel: int
     coalition: FrozenSet[int]
     proposers_so_far: FrozenSet[int]
-
-
-@dataclass(frozen=True)
-class Evict(Message):
-    """Seller -> buyer: you were removed from my waitlist (Stage I only)."""
-
-    channel: int
-
-
-@dataclass(frozen=True)
-class ProposalReject(Message):
-    """Seller -> buyer: proposal declined (not waitlisted).
-
-    Also sent when a proposal reaches a seller who has already transitioned
-    to Stage II ("after stage transition, a seller cannot grant proposals
-    anymore", Section IV-B).
-    """
-
-    channel: int
 
 
 @dataclass(frozen=True)
@@ -116,35 +104,25 @@ class TransferApply(Message):
 
 
 @dataclass(frozen=True)
-class TransferOffer(Message):
-    """Seller -> buyer: your transfer application is acceptable.
+class TransferVerdict(Message):
+    """Seller -> buyer: the verdict on a transfer application.
 
-    The coalition slot is reserved until the buyer confirms or declines in
-    the next slot; offers are mutually non-interfering by construction.
+    An offer (``offered``) reserves a coalition slot until the buyer
+    answers; offers are mutually non-interfering by construction.  A
+    refused applicant joins the seller's invitation list.
     """
 
     channel: int
+    offered: bool
 
 
 @dataclass(frozen=True)
-class TransferReject(Message):
-    """Seller -> buyer: application declined (buyer joins invitation list)."""
-
-    channel: int
-
-
-@dataclass(frozen=True)
-class TransferConfirm(Message):
-    """Buyer -> seller: I take the offered slot (commits the transfer)."""
+class TransferAnswer(Message):
+    """Buyer -> seller: ``take`` commits the offered slot, otherwise the
+    seller releases it."""
 
     buyer: int
-
-
-@dataclass(frozen=True)
-class TransferDecline(Message):
-    """Buyer -> seller: I no longer want the offered slot."""
-
-    buyer: int
+    take: bool
 
 
 # ----------------------------------------------------------------------
@@ -158,17 +136,13 @@ class Invite(Message):
 
 
 @dataclass(frozen=True)
-class InviteAccept(Message):
-    """Buyer -> seller: invitation accepted (buyer also Leaves old seller)."""
+class InviteAnswer(Message):
+    """Buyer -> seller: ``accept`` joins the coalition (the buyer also
+    Leaves her old seller); otherwise her current match is at least as
+    good and she stays."""
 
     buyer: int
-
-
-@dataclass(frozen=True)
-class InviteDecline(Message):
-    """Buyer -> seller: current match is at least as good; no move."""
-
-    buyer: int
+    accept: bool
 
 
 # ----------------------------------------------------------------------

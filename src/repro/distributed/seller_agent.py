@@ -4,20 +4,21 @@ A seller moves through three local phases:
 
 1. **Stage I** -- each slot, fold fresh proposals into the waitlist by
    re-solving the coalition MWIS (identical selection logic to the
-   centralised Algorithm 1, including the monotone guard), sending
-   ``Evict`` / ``ProposalReject`` to losers and ``WaitlistUpdate`` (with
-   the cumulative proposer digest) to members.  Transfer applications that
-   arrive early are queued.  The configured transition rule -- the default
-   ``MN`` slot or the ``Q^k`` estimate of eq. (9) -- decides when to move
-   on; on transition the seller notifies her coalition (enabling buyer
-   rule III) and stops granting proposals.
+   centralised Algorithm 1, including the monotone guard) and send one
+   ``Stage1Decision`` (the new coalition plus the cumulative proposer
+   digest) to the displaced, the declined proposers and the members, in
+   that order.  Transfer applications that arrive early are queued.  The
+   configured transition rule -- the default ``MN`` slot or the ``Q^k``
+   estimate of eq. (9) -- decides when to move on; on transition the
+   seller notifies her coalition (enabling buyer rule III) and stops
+   granting proposals.
 
 2. **Stage II Phase 1** -- process queued/incoming transfer applications
    in slot batches: offer the best compatible extension (MWIS over
    applicants compatible with the coalition), reject the rest into the
-   invitation list, and commit offers on ``TransferConfirm``.  After the
-   Phase-1 horizon (``M`` + grace slots) with no outstanding offers, move
-   to Phase 2.
+   invitation list, and commit the offers buyers take
+   (``TransferAnswer``).  After the Phase-1 horizon (``M`` + grace slots)
+   with no outstanding offers, move to Phase 2.
 
 3. **Stage II Phase 2** -- screen the invitation list against the current
    coalition and invite survivors one at a time in descending price order
@@ -35,21 +36,16 @@ from repro.core.deferred_acceptance import seller_select_coalition
 from repro.core.market import SpectrumMarket
 from repro.distributed.buyer_agent import buyer_agent_id
 from repro.distributed.messages import (
-    Evict,
     Invite,
-    InviteAccept,
-    InviteDecline,
+    InviteAnswer,
     Leave,
     Message,
-    ProposalReject,
     Propose,
     SellerStageNotify,
+    Stage1Decision,
+    TransferAnswer,
     TransferApply,
-    TransferConfirm,
-    TransferDecline,
-    TransferOffer,
-    TransferReject,
-    WaitlistUpdate,
+    TransferVerdict,
 )
 from repro.distributed.probability import better_proposal_probability
 from repro.distributed.simulator import Agent, SlotContext
@@ -126,14 +122,15 @@ class SellerAgent(Agent):
                 proposals.append(message.buyer)
             elif isinstance(message, TransferApply):
                 applications.append(message.buyer)
-            elif isinstance(message, TransferConfirm):
-                self._commit_transfer(message.buyer)
-            elif isinstance(message, TransferDecline):
-                self._outstanding_offers.discard(message.buyer)
-            elif isinstance(message, InviteAccept):
-                self._commit_invite(message.buyer)
-            elif isinstance(message, InviteDecline):
-                if self._outstanding_invite == message.buyer:
+            elif isinstance(message, TransferAnswer):
+                if message.take:
+                    self._commit_transfer(message.buyer)
+                else:
+                    self._outstanding_offers.discard(message.buyer)
+            elif isinstance(message, InviteAnswer):
+                if message.accept:
+                    self._commit_invite(message.buyer)
+                elif self._outstanding_invite == message.buyer:
                     self._outstanding_invite = None
             else:
                 raise ProtocolError(
@@ -168,23 +165,17 @@ class SellerAgent(Agent):
                     monotone_guard=True,
                 )
             )
-            for buyer in sorted(self.waitlist - selected):
-                ctx.send(buyer_agent_id(buyer), Evict(self.agent_id, self.channel))
-            for buyer in fresh:
-                if buyer not in selected:
-                    ctx.send(
-                        buyer_agent_id(buyer),
-                        ProposalReject(self.agent_id, self.channel),
-                    )
-            self.waitlist = selected
-            update = WaitlistUpdate(
+            decision = Stage1Decision(
                 self.agent_id,
                 self.channel,
-                frozenset(self.waitlist),
+                frozenset(selected),
                 frozenset(self._proposers_so_far),
             )
-            for buyer in sorted(self.waitlist):
-                ctx.send(buyer_agent_id(buyer), update)
+            displaced = sorted(self.waitlist - selected)
+            declined = [buyer for buyer in fresh if buyer not in selected]
+            for buyer in displaced + declined + sorted(selected):
+                ctx.send(buyer_agent_id(buyer), decision)
+            self.waitlist = selected
 
         if self._stage1_transition_due(bool(proposals), ctx.now):
             self.phase = _PHASE1
@@ -236,25 +227,34 @@ class SellerAgent(Agent):
     def _commit_transfer(self, buyer: int) -> None:
         if buyer not in self._outstanding_offers:
             raise ProtocolError(
-                f"seller {self.channel} got a confirm from buyer {buyer} "
-                f"without an outstanding offer"
+                f"buyer {buyer} took an offer seller {self.channel} "
+                f"has not made"
             )
         self._outstanding_offers.discard(buyer)
         if self._graph.conflicts_with_set(buyer, self.waitlist):
             raise ProtocolError(
-                f"confirmed transfer of buyer {buyer} conflicts with "
+                f"taken transfer of buyer {buyer} conflicts with "
                 f"coalition {sorted(self.waitlist)} on channel {self.channel}"
             )
         self.waitlist.add(buyer)
 
+    def _decline_proposals(self, proposals: List[int], ctx: SlotContext) -> None:
+        """After the transition no proposal can be granted: the decision
+        admits nobody."""
+        if proposals:
+            decision = Stage1Decision(
+                self.agent_id,
+                self.channel,
+                frozenset(),
+                frozenset(self._proposers_so_far),
+            )
+            for buyer in proposals:
+                ctx.send(buyer_agent_id(buyer), decision)
+
     def _phase1(
         self, proposals: List[int], applications: List[int], ctx: SlotContext
     ) -> None:
-        # Proposals after the transition can no longer be granted.
-        for buyer in proposals:
-            ctx.send(
-                buyer_agent_id(buyer), ProposalReject(self.agent_id, self.channel)
-            )
+        self._decline_proposals(proposals, ctx)
         self._pending_applications.extend(applications)
 
         if not self._outstanding_offers and self._pending_applications:
@@ -275,18 +275,15 @@ class SellerAgent(Agent):
                 )
             )
             for buyer in applicants:
-                if buyer in accepted:
+                offered = buyer in accepted
+                if offered:
                     self._outstanding_offers.add(buyer)
-                    ctx.send(
-                        buyer_agent_id(buyer),
-                        TransferOffer(self.agent_id, self.channel),
-                    )
                 else:
                     self._invitation_list.append(buyer)
-                    ctx.send(
-                        buyer_agent_id(buyer),
-                        TransferReject(self.agent_id, self.channel),
-                    )
+                ctx.send(
+                    buyer_agent_id(buyer),
+                    TransferVerdict(self.agent_id, self.channel, offered),
+                )
 
         assert self._transition_slot is not None
         if (
@@ -302,7 +299,7 @@ class SellerAgent(Agent):
     def _commit_invite(self, buyer: int) -> None:
         if self._outstanding_invite != buyer:
             raise ProtocolError(
-                f"seller {self.channel} got an invite-accept from buyer "
+                f"seller {self.channel} got an accepted invitation from buyer "
                 f"{buyer} but invited {self._outstanding_invite}"
             )
         self._outstanding_invite = None
@@ -319,14 +316,12 @@ class SellerAgent(Agent):
     def _phase2(
         self, proposals: List[int], applications: List[int], ctx: SlotContext
     ) -> None:
-        for buyer in proposals:
-            ctx.send(
-                buyer_agent_id(buyer), ProposalReject(self.agent_id, self.channel)
-            )
+        self._decline_proposals(proposals, ctx)
         # Late transfer applications: reject, but keep the buyers invitable.
         for buyer in applications:
             ctx.send(
-                buyer_agent_id(buyer), TransferReject(self.agent_id, self.channel)
+                buyer_agent_id(buyer),
+                TransferVerdict(self.agent_id, self.channel, False),
             )
             self._invitation_list.append(buyer)
 

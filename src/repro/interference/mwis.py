@@ -16,7 +16,9 @@ MWIS-ablation benchmark:
   in the current graph, then delete it and its neighbours.  Guarantees a
   solution of weight at least ``sum_v w(v)/(deg_G(v)+1)``.
 * **GWMIN2** -- same loop but scores ``w(v) / sum_{u in N+(v)} w(u)`` where
-  ``N+(v)`` is the closed neighbourhood; never worse than GWMIN's bound.
+  ``N+(v)`` is the closed neighbourhood.  Guarantees at least
+  ``sum_v w(v)^2 / W(N+(v))``, which is not GWMIN's bound: on some graphs
+  GWMIN2 falls below ``sum_v w(v)/(deg_G(v)+1)``.
 * **GWMAX** -- repeatedly *delete* the vertex minimising
   ``w(v) / (deg(v) * (deg(v)+1))`` until no edges remain; the survivors form
   an independent set.

@@ -54,6 +54,7 @@ from repro.obs import (
 )
 from repro.obs.recorder import get_recorder
 from repro.run.spec import (
+    POLICIES,
     FaultSpec,
     MarketSpec,
     ProfileSpec,
@@ -121,10 +122,11 @@ def build_policy(name: str):
             "engine.options.policy: a Session runs a single policy; "
             "build one spec per policy for comparisons"
         )
-    if name not in ("default", "adaptive"):
+    if name not in POLICIES:
         raise SpecError(
-            f"engine.options.policy: must be 'default' or 'adaptive', "
-            f"got {name!r}"
+            "engine.options.policy: must be one of "
+            + ", ".join(repr(policy) for policy in POLICIES)
+            + f", got {name!r}"
         )
     return adaptive_policy() if name == "adaptive" else default_policy()
 

@@ -46,6 +46,7 @@ from repro.ioutil import canonical_json, config_hash
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
+    "POLICIES",
     "WorkloadSpec",
     "MarketSpec",
     "EngineSpec",
@@ -76,6 +77,11 @@ RUN_COMMANDS = (
     "report",
     "solve",
 )
+
+#: The transition policies ``engine.options.policy`` names in ``chaos`` and
+#: ``distributed`` runs; ``distributed`` also takes ``"both"``, which that
+#: command expands into one run per policy.
+POLICIES = ("default", "adaptive")
 
 _SCENARIOS = ("paper", "toy", "counterexample")
 _STRATEGIES = ("warm", "cold", "both")
@@ -543,6 +549,16 @@ class RunSpec(_Section, section="spec"):
         self.profile.validate()
         self.durability.validate()
         self.parallel.validate()
+        if self.command in ("chaos", "distributed"):
+            policies = POLICIES
+            if self.command == "distributed":
+                policies += ("both",)
+            _check_choice(
+                "engine.options",
+                "policy",
+                self.engine.options.get("policy", "default"),
+                policies,
+            )
         if self.command == "dynamic":
             if self.market.workload is None:
                 raise SpecError(

@@ -26,7 +26,9 @@ The invariants the layout maintains:
   hash; a truncated file, a flipped bit, or a snapshot smuggled in from
   a differently-configured run is rejected at load time, and
   :meth:`CheckpointStore.latest_checkpoint` falls back to the newest
-  *valid* snapshot.
+  *valid* snapshot.  So is a state this build cannot use: a pickle that
+  names a class it no longer has, or one the run's engine cannot
+  restore.
 * **Checkpoints anchor the trace.**  Every snapshot records the trace's
   byte length at snapshot time; resume truncates ``trace.jsonl`` to that
   offset and deterministic re-execution regenerates the tail, so the
@@ -41,7 +43,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CheckpointError
 from repro.ioutil import (
@@ -304,9 +306,10 @@ class CheckpointStore:
         """Load and fully validate one checkpoint file.
 
         Raises :class:`~repro.errors.CheckpointError` for unparseable or
-        truncated files, digest mismatches, unknown schema/codec, and --
-        most importantly -- a config hash that differs from this run's
-        (a stale snapshot from a different configuration).
+        truncated files, digest mismatches, unknown schema/codec, a
+        pickled state this build cannot load, and -- most importantly --
+        a config hash that differs from this run's (a stale snapshot from
+        a different configuration).
         """
         path = Path(path)
         try:
@@ -348,7 +351,13 @@ class CheckpointStore:
                 raise CheckpointError(
                     f"corrupt checkpoint {path}: state digest mismatch"
                 )
-            state = pickle.loads(blob)
+            try:
+                state = pickle.loads(blob)
+            except Exception as exc:  # any unpickling failure: unusable
+                raise CheckpointError(
+                    f"unusable checkpoint {path}: this build cannot load "
+                    f"its state ({type(exc).__name__}: {exc})"
+                ) from exc
         else:
             raise CheckpointError(
                 f"checkpoint {path} uses unknown codec {codec!r}"
@@ -366,10 +375,14 @@ class CheckpointStore:
             "path": path,
         }
 
-    def latest_checkpoint(self) -> Optional[Dict[str, Any]]:
+    def latest_checkpoint(
+        self, restore: Optional[Callable[[Dict[str, Any]], None]] = None
+    ) -> Optional[Dict[str, Any]]:
         """Newest *valid* checkpoint, or ``None``.
 
-        Corrupt snapshots (truncated, digest mismatch, unparseable) are
+        Corrupt or unusable snapshots (truncated, digest mismatch,
+        unparseable, a state this build cannot load, or one ``restore``
+        refuses with a :class:`~repro.errors.CheckpointError`) are
         skipped -- the point of keeping more than one -- but a stale
         config hash raises immediately: every snapshot in this directory
         claims to belong to this run, so a foreign one means the
@@ -380,11 +393,14 @@ class CheckpointStore:
         )
         for path in candidates:
             try:
-                return self.load_checkpoint(path)
+                checkpoint = self.load_checkpoint(path)
+                if restore is not None:
+                    restore(checkpoint)
+                return checkpoint
             except CheckpointError as exc:
                 if "stale checkpoint" in str(exc):
                     raise
-                continue  # corrupt: fall back to the previous snapshot
+                continue  # unusable: fall back to the previous snapshot
         return None
 
     # ------------------------------------------------------------------

@@ -40,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.distributed.protocol import (
     DEFAULT_MAX_SLOTS,
@@ -50,7 +50,12 @@ from repro.distributed.protocol import (
 from repro.errors import CheckpointError
 from repro.obs.events import EventSink, JsonlEventSink
 from repro.obs.manifest import build_manifest
-from repro.obs.recorder import Recorder, resolve_recorder
+from repro.obs.recorder import (
+    NULL_RECORDER,
+    Recorder,
+    resolve_recorder,
+    use_recorder,
+)
 from repro.run.session import (
     build_generator,
     build_market,
@@ -301,8 +306,7 @@ def _drive_dynamic(run: _DurableRun, generator, matcher) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Distributed chaos (slot-stream) runs
 # ----------------------------------------------------------------------
-def _build_chaos_simulation(run: _DurableRun):
-    spec = run.spec
+def _build_chaos_simulation(spec: RunSpec, recorder: Recorder):
     network, reliable = build_network(spec.faults)
     return build_distributed_simulation(
         build_market(spec.market),
@@ -310,7 +314,7 @@ def _build_chaos_simulation(run: _DurableRun):
         network=network,
         seed=spec.market.seed,
         reliable_transport=reliable,
-        recorder=run.recorder,
+        recorder=recorder,
         fault_schedule=spec.faults.build_schedule(),
     )
 
@@ -402,6 +406,58 @@ def run_durable(
     return _run_to_completion(run)
 
 
+def _build_engine(
+    spec: RunSpec,
+    kind: str,
+    recorder: Recorder,
+    checkpoint: Optional[Dict[str, Any]] = None,
+):
+    """The run's engine, rebuilt from ``spec`` with ``checkpoint`` restored.
+
+    ``(generator, matcher)`` for a ``dynamic`` store, the
+    :class:`~repro.distributed.protocol.DistributedSimulation` for a
+    ``chaos`` one.
+    """
+    from repro.dynamic.online import OnlineMatcher, RematchStrategy
+
+    if kind == "dynamic":
+        generator = build_generator(spec.market)
+        matcher = OnlineMatcher(
+            RematchStrategy(spec.market.workload.strategy), recorder=recorder
+        )
+        if checkpoint is not None:
+            generator.restore(checkpoint["state"]["generator"])
+            matcher.restore(checkpoint["state"]["matcher"])
+        return generator, matcher
+    sim = _build_chaos_simulation(spec, recorder)
+    if checkpoint is not None:
+        sim.simulator.restore_state(checkpoint["state"])
+    return sim
+
+
+def _restore_check(store: CheckpointStore) -> Callable[[Dict[str, Any]], None]:
+    """A check that a loaded checkpoint restores into this build's engine.
+
+    The check restores the checkpoint into a freshly built engine without
+    telemetry and raises :class:`~repro.errors.CheckpointError` if that
+    fails, e.g. on a snapshot an older build wrote with other agent
+    state.  :meth:`CheckpointStore.latest_checkpoint` then skips it.
+    """
+    spec = spec_from_store(store)
+
+    def check(checkpoint: Dict[str, Any]) -> None:
+        try:
+            with use_recorder(NULL_RECORDER):
+                _build_engine(spec, store.kind, NULL_RECORDER, checkpoint)
+        except Exception as exc:  # whatever the old state trips: unusable
+            raise CheckpointError(
+                f"unusable checkpoint {checkpoint['path']}: this build "
+                f"cannot restore its state ({type(exc).__name__}: {exc})"
+            ) from exc
+
+    return check
+
+
 def _run_to_completion(
     run: _DurableRun, checkpoint: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
@@ -411,24 +467,14 @@ def _run_to_completion(
     restored into the rebuilt engine; without one the run starts from
     its first step.  Closes ``run`` either way.
     """
-    from repro.dynamic.online import OnlineMatcher, RematchStrategy
-
     try:
+        engine = _build_engine(
+            run.spec, run.store.kind, run.recorder, checkpoint
+        )
         if run.store.kind == "dynamic":
-            generator = build_generator(run.spec.market)
-            matcher = OnlineMatcher(
-                RematchStrategy(run.spec.market.workload.strategy),
-                recorder=run.recorder,
-            )
-            if checkpoint is not None:
-                generator.restore(checkpoint["state"]["generator"])
-                matcher.restore(checkpoint["state"]["matcher"])
-            return _drive_dynamic(run, generator, matcher)
-        sim = _build_chaos_simulation(run)
+            return _drive_dynamic(run, *engine)
         if checkpoint is None:
-            sim.emit_run_start()
-        else:
-            sim.simulator.restore_state(checkpoint["state"])
-        return _drive_chaos(run, sim)
+            engine.emit_run_start()
+        return _drive_chaos(run, engine)
     finally:
         run.close()

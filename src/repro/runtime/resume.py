@@ -9,9 +9,10 @@ Recovery protocol, in order:
 2. **Idempotency.**  ``result.json`` is the run's atomic commit point; if
    it exists the run already finished and resume returns it unchanged.
 3. **Pick the restore point**: the newest *valid* checkpoint (corrupt
-   snapshots are skipped, stale config hashes refuse loudly).  With no
-   usable checkpoint the run restarts from scratch -- the WAL of the
-   crashed attempt still serves as a verification oracle.
+   snapshots and states this build cannot load or restore are skipped,
+   stale config hashes refuse loudly).  With no usable checkpoint the
+   run restarts from scratch -- the WAL of the crashed attempt still
+   serves as a verification oracle.
 4. **Truncate to the snapshot.**  The trace is cut back to the
    checkpoint's recorded byte offset and the WAL to its record count
    (this also repairs a torn final line from a crash mid-append).
@@ -37,7 +38,11 @@ from typing import Any, Dict, Optional
 from repro.errors import CheckpointError
 from repro.obs.recorder import Recorder, resolve_recorder
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.durable import _DurableRun, _run_to_completion
+from repro.runtime.durable import (
+    _DurableRun,
+    _restore_check,
+    _run_to_completion,
+)
 
 __all__ = ["resume_run"]
 
@@ -77,7 +82,7 @@ def resume_run(
             )
         return store.read_result()
 
-    checkpoint = store.latest_checkpoint()
+    checkpoint = store.latest_checkpoint(_restore_check(store))
     records, valid_bytes = store.read_wal()
     store.truncate_wal(valid_bytes)  # repair a torn tail either way
 

@@ -38,7 +38,6 @@ from repro.distributed.transition import (
     neighbor_rule_policy,
 )
 from repro.distributed.transport import ReliableAgent
-from repro.errors import ProtocolError
 from repro.obs import ListEventSink, MetricsRegistry, Recorder
 from repro.workloads.scenarios import paper_simulation_market
 
@@ -83,24 +82,15 @@ def market_for(num_buyers: int, num_channels: int, seed: int):
 
 
 def observed_run(market, **kwargs):
-    """One run with a live recorder: (outcome, event stream, counters).
-
-    The outcome is the :class:`DistributedResult`, or the error when the
-    strict fault-free extraction finds the two sides' views disagreeing
-    (random delays can reorder a handshake that way at some seeds); the
-    two kernels must then fail identically.
-    """
+    """One run with a live recorder: (result, event stream, counters)."""
     recorder = Recorder(events=ListEventSink(), metrics=MetricsRegistry())
-    try:
-        outcome = run_distributed_matching(
-            market,
-            record_events=True,
-            recorder=recorder,
-            max_slots=MAX_SLOTS,
-            **kwargs,
-        )
-    except ProtocolError as error:
-        outcome = repr(error)
+    outcome = run_distributed_matching(
+        market,
+        record_events=True,
+        recorder=recorder,
+        max_slots=MAX_SLOTS,
+        **kwargs,
+    )
     stream = [
         event
         for event in recorder.events.events

@@ -1,6 +1,13 @@
-"""End-to-end tests of the message-level protocol (Section IV)."""
+"""End-to-end tests of the message-level protocol (Section IV).
+
+The ``SPECTRUM_CHAOS_SEED`` environment variable offsets the simulator
+seeds of the message-reordering grid, as in ``test_chaos.py``; CI runs
+that grid under the same seed families.
+"""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +32,36 @@ from repro.workloads.scenarios import (
 )
 
 ALL_POLICIES = [default_policy(), adaptive_policy(), neighbor_rule_policy()]
+
+#: CI offsets this to run the reordering grid under several seed families.
+BASE_SEED = int(os.environ.get("SPECTRUM_CHAOS_SEED", "0"))
+
+#: (policy, delay bounds, seeds per market): random per-message delays
+#: reorder messages between every pair of agents.
+REORDERING = [
+    ("default", (1, 3), 20),
+    ("default", (0, 2), 20),
+    ("adaptive", (1, 3), 10),
+    ("adaptive", (1, 5), 10),
+    ("neighbor", (1, 3), 10),
+    ("neighbor", (1, 5), 10),
+]
+POLICIES = {
+    "default": default_policy,
+    "adaptive": adaptive_policy,
+    "neighbor": neighbor_rule_policy,
+}
+
+
+def assert_sound_under_reordering(market, policy, delays, seed):
+    """Converged, the strict extraction passed (each buyer believes what
+    the sellers record, else ``ProtocolError``), interference-free, IR."""
+    result = run_distributed_matching(
+        market, policy=policy, network=DelayedNetwork(*delays), seed=seed
+    )
+    assert result.status == "converged"
+    assert result.matching.is_interference_free(market.interference)
+    assert is_individually_rational(market, result.matching)
 
 
 class TestToyExample:
@@ -127,16 +164,29 @@ class TestMessageDelays:
         assert delayed.social_welfare == pytest.approx(baseline.social_welfare)
         assert delayed.slots >= baseline.slots
 
-    def test_random_delays_remain_feasible(self):
-        market = paper_simulation_market(12, 3, np.random.default_rng(206))
-        result = run_distributed_matching(
-            market,
-            policy=default_policy(),
-            network=DelayedNetwork(1, 3),
-            seed=11,
+    @pytest.mark.parametrize("num_buyers", [30, 60])
+    @pytest.mark.parametrize(
+        "policy, delays, seeds",
+        REORDERING,
+        ids=[f"{p}-delay{lo}-{hi}" for p, (lo, hi), _ in REORDERING],
+    )
+    def test_reordering_grid(self, policy, delays, seeds, num_buyers):
+        market = paper_simulation_market(
+            num_buyers, 4, np.random.default_rng([5, 1, num_buyers])
         )
-        assert result.matching.is_interference_free(market.interference)
-        assert is_individually_rational(market, result.matching)
+        for seed in range(seeds):
+            assert_sound_under_reordering(
+                market, POLICIES[policy](), delays, 100 * BASE_SEED + seed
+            )
+
+    def test_reordering_pinned_case(self):
+        """An eviction overtook the admission it followed: the stale
+        admission used to re-match the buyer (``ProtocolError`` in the
+        strict extraction)."""
+        market = paper_simulation_market(
+            60, 4, np.random.default_rng([7, 5, 60])
+        )
+        assert_sound_under_reordering(market, adaptive_policy(), (1, 5), 5)
 
 
 class TestAccounting:

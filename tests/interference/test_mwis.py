@@ -120,6 +120,21 @@ class TestGreedyKnownBehaviours:
         achieved = sum(weights[j] for j in result)
         assert achieved >= gwmin_lower_bound(graph, weights, range(6)) - 1e-9
 
+    def test_gwmin2_can_fall_below_the_gwmin_degree_bound(self):
+        """GWMIN's guarantee is not GWMIN2's: here GWMIN2 takes buyer 1
+        (4.75/11.25 = 0.422 beats 3.25/8 = 0.406) and misses 5 and 6."""
+        graph = InterferenceGraph(7, [(1, 5), (1, 6)])
+        weights = {j: 0.0 for j in range(7)}
+        weights.update({1: 4.75, 5: 3.25, 6: 3.25})
+        chosen = mwis_greedy_gwmin2(graph, weights, range(7))
+        assert 1 in chosen and 5 not in chosen and 6 not in chosen
+        achieved = sum(weights[j] for j in chosen)
+        assert achieved == pytest.approx(4.75)
+        assert gwmin_lower_bound(graph, weights, range(7)) == pytest.approx(
+            4.75 / 3 + 3.25
+        )
+        assert achieved < gwmin_lower_bound(graph, weights, range(7))
+
     def test_gwmin2_handles_zero_weight_neighbourhood(self):
         graph = InterferenceGraph(2, [(0, 1)])
         result = mwis_greedy_gwmin2(graph, {0: 0.0, 1: 0.0}, [0, 1])

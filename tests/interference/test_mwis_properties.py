@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.interference.graph import InterferenceGraph
@@ -41,6 +41,30 @@ def weighted_graphs(draw, max_nodes: int = 9):
     return InterferenceGraph(n, edges), weights
 
 
+def gwmin2_lower_bound(graph, weights, nodes) -> float:
+    """Sakai et al.'s GWMIN2 guarantee ``sum w(v)^2 / W(N+(v))``.
+
+    ``W(N+(v))`` is the weight of ``v``'s closed neighbourhood within
+    ``nodes``; a vertex whose closed neighbourhood weighs nothing adds 0.
+    """
+    pool = set(nodes)
+    bound = 0.0
+    for v in pool:
+        closed = weights[v] + sum(weights[u] for u in graph.neighbors(v) & pool)
+        if closed > 0.0:
+            bound += weights[v] ** 2 / closed
+    return bound
+
+
+#: GWMIN2 meets its own bound here (4.75 >= 4.646) but not GWMIN's
+#: degree bound (4.833): it takes buyer 1 (score 4.75/11.25 = 0.422 beats
+#: 3.25/8 = 0.406), which blocks buyers 5 and 6.
+BELOW_DEGREE_BOUND = (
+    InterferenceGraph(7, [(1, 5), (1, 6)]),
+    {0: 0.0, 1: 4.75, 2: 0.0, 3: 0.0, 4: 0.0, 5: 3.25, 6: 3.25},
+)
+
+
 @given(weighted_graphs())
 @settings(max_examples=150, deadline=None)
 def test_greedy_outputs_are_independent_sets(case):
@@ -72,13 +96,18 @@ def test_gwmin_achieves_sakai_bound(case):
 
 
 @given(weighted_graphs())
+@example(BELOW_DEGREE_BOUND)
 @settings(max_examples=150, deadline=None)
 def test_gwmin2_achieves_sakai_bound(case):
-    """Sakai et al. show GWMIN2 also meets the degree-weighted bound."""
+    """Sakai et al. Theorem: GWMIN2 >= sum w(v)^2 / W(N+(v)).
+
+    GWMIN2's guarantee is its own, not GWMIN's degree bound: it can fall
+    below ``sum w(v)/(deg(v)+1)`` (see ``BELOW_DEGREE_BOUND``).
+    """
     graph, weights = case
     nodes = range(graph.num_buyers)
     value = sum(weights[j] for j in mwis_greedy_gwmin2(graph, weights, nodes))
-    assert value >= gwmin_lower_bound(graph, weights, nodes) - 1e-9
+    assert value >= gwmin2_lower_bound(graph, weights, nodes) - 1e-9
 
 
 @given(weighted_graphs())

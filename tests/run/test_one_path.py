@@ -177,8 +177,12 @@ def test_misspelt_policy_fails_the_same_everywhere(tmp_path, capsys):
             spec, durability=DurabilitySpec(checkpoint_dir=str(run_dir))
         )
         for variant, name in ((spec, "plain.json"), (durable, "durable.json")):
-            assert main(["run", _write(tmp_path, variant, name)]) == 2
-            assert f"error: {info.value}" in capsys.readouterr().err
+            path = _write(tmp_path, variant, name)
+            for argv in (["run", path], ["run", path, "--dry-run"]):
+                assert main(argv) == 2
+                captured = capsys.readouterr()
+                assert f"error: {info.value}" in captured.err
+                assert captured.out == ""
         assert not run_dir.exists()  # refused before a run directory exists
     # Flags that make a spec `repro run` refuses fail their dry run the
     # same way: exit 2, the same error, nothing on stdout, no run directory.

@@ -13,6 +13,13 @@ from repro.runtime.checkpoint import CheckpointStore, config_hash
 CONFIG = {"buyers": 4, "sellers": 2, "seed": 7}
 
 
+class InFlight:
+    """A message class a later build deletes (see ``test_missing_class``)."""
+
+    def __eq__(self, other):
+        return isinstance(other, InFlight)
+
+
 @pytest.fixture
 def store(tmp_path):
     return CheckpointStore.create(
@@ -146,6 +153,37 @@ class TestCheckpoints:
         # snapshot: the whole directory is suspect.
         with pytest.raises(CheckpointError, match="stale checkpoint"):
             store.latest_checkpoint()
+
+    def test_missing_class_makes_a_checkpoint_unusable(
+        self, store, monkeypatch
+    ):
+        """A pickle naming a class this build no longer has is an
+        unusable checkpoint, not a traceback: resume falls back past it."""
+        store.write_checkpoint(
+            3, {"queue": []}, trace_bytes=0, wal_records=3, codec="pickle"
+        )
+        newest = store.write_checkpoint(
+            6, {"queue": [InFlight()]}, trace_bytes=0, wal_records=6,
+            codec="pickle",
+        )
+        assert store.latest_checkpoint()["state"] == {"queue": [InFlight()]}
+        monkeypatch.delattr(f"{__name__}.InFlight")
+        with pytest.raises(CheckpointError, match="unusable checkpoint") as info:
+            store.load_checkpoint(newest)
+        assert str(newest) in str(info.value)
+        assert "InFlight" in str(info.value)
+        assert store.latest_checkpoint()["state"] == {"queue": []}
+
+    def test_restore_check_skips_unrestorable_states(self, store):
+        store.write_checkpoint(3, {"cursor": 3}, trace_bytes=0, wal_records=3)
+        store.write_checkpoint(6, {"cursor": 6}, trace_bytes=0, wal_records=6)
+
+        def restore(checkpoint):
+            if checkpoint["state"]["cursor"] > 3:
+                raise CheckpointError("unusable checkpoint: no restore")
+
+        assert store.latest_checkpoint(restore)["state"] == {"cursor": 3}
+        assert store.latest_checkpoint()["state"] == {"cursor": 6}
 
     def test_no_checkpoints_returns_none(self, store):
         assert store.latest_checkpoint() is None

@@ -5,7 +5,8 @@ A run directory stores its config in one shape: the spec's
 reads it into a spec, rebuilds the engine from it, restores the latest
 checkpoint and replays the rest of the run against the WAL.  Deleting
 ``result.json`` from a finished run forces exactly that path; the
-rebuilt run must land on the identical result and trace.  A manifest
+rebuilt run must land on the identical result and trace.  A checkpoint
+this build cannot restore is skipped like a corrupt one.  A manifest
 whose config has any other shape (the flat mapping older durable
 runners wrote) is refused.
 """
@@ -18,6 +19,7 @@ import shutil
 import pytest
 
 from repro.errors import CheckpointError
+from repro.obs import ListEventSink, Recorder
 from repro.run.session import Session
 from repro.run.spec import (
     DurabilitySpec,
@@ -114,6 +116,62 @@ def test_rebuild_from_stored_spec(tmp_path, kind):
     (run_dir / "result.json").unlink()
     resume_run(run_dir)
 
+    assert (run_dir / "result.json").read_bytes() == result
+    diff = diff_traces(
+        load_events(str(trace)), load_events(str(run_dir / "trace.jsonl"))
+    )
+    assert not diff.diverged
+
+
+def _as_older_buyers_wrote_it(snapshot: dict) -> dict:
+    """A buyer snapshot (or its ARQ wrapper's) with the pending proposal
+    under ``outstanding_proposal``, where this build keeps the Stage-I
+    seller."""
+    if "inner" in snapshot:
+        return {**snapshot, "inner": _as_older_buyers_wrote_it(snapshot["inner"])}
+    older = dict(snapshot)
+    older["outstanding_proposal"] = older.pop("stage1_seller")
+    return older
+
+
+@pytest.mark.parametrize("unusable", [1, 6], ids=["newest", "all"])
+def test_unrestorable_checkpoints_are_skipped(tmp_path, unusable):
+    run_dir = tmp_path / "run"
+    Session(_spec("chaos", run_dir)).run()
+    result = (run_dir / "result.json").read_bytes()
+    trace = tmp_path / "trace.jsonl"
+    shutil.copy(run_dir / "trace.jsonl", trace)
+    store = CheckpointStore.open(run_dir)
+    paths = sorted(store.checkpoint_dir.glob("ckpt-*.json"))
+    assert len(paths) == 6
+    for path in paths[-unusable:]:
+        checkpoint = store.load_checkpoint(path)
+        state = checkpoint["state"]
+        state["agents"] = {
+            agent: _as_older_buyers_wrote_it(snap)
+            if agent.startswith("buyer:") else snap
+            for agent, snap in state["agents"].items()
+        }
+        store.write_checkpoint(
+            checkpoint["index"],
+            state,
+            trace_bytes=checkpoint["trace_bytes"],
+            wal_records=checkpoint["wal_records"],
+            codec="pickle",
+        )
+
+    (run_dir / "result.json").unlink()
+    recorder = Recorder(events=ListEventSink())
+    resume_run(run_dir, recorder=recorder)
+
+    (resumed,) = [
+        e for e in recorder.events.events if e["event"] == "runtime.resume"
+    ]
+    if unusable == len(paths):
+        assert resumed["from_scratch"]
+    else:
+        usable = store.load_checkpoint(paths[-unusable - 1])
+        assert resumed["from_index"] == usable["wal_records"]
     assert (run_dir / "result.json").read_bytes() == result
     diff = diff_traces(
         load_events(str(trace)), load_events(str(run_dir / "trace.jsonl"))
