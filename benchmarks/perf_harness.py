@@ -49,8 +49,7 @@ from repro.core.two_stage import run_two_stage
 from repro.engine import get_solver
 from repro.ioutil import append_jsonl, atomic_write_json
 from repro.obs import MetricsRegistry, Recorder, use_recorder
-from repro.obs.spans import SpanTracer
-from repro.prof.attribution import span_table
+from repro.obs.spans import SpanTracer, span_table
 from repro.prof.counters import reset_cost_counters, snapshot_cost_counters
 from repro.workloads.scenarios import paper_simulation_market
 
@@ -135,7 +134,8 @@ def _stage1_once(
     }
     timers = registry.snapshot()["timers"]
     mwis_s = timers.get("stage1.mwis_solve_s", {}).get("total_s", 0.0)
-    return result, mwis_s, span_table(tracer.records), counters
+    spans = span_table(record.to_event() for record in tracer.records)
+    return result, mwis_s, spans, counters
 
 
 def _coalitions(market, result) -> Dict[int, Tuple[int, ...]]:

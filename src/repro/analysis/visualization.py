@@ -10,7 +10,7 @@ snapshot-testable.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,10 @@ __all__ = [
 _CHANNEL_MARKS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _UNMATCHED_MARK = "."
 _COLLISION_MARK = "*"
+
+#: ``msg.dropped`` reasons that lose a message at its send.  A
+#: ``crash_purge`` loses a message already queued and is not flagged.
+_SEND_DROP_REASONS = ("network", "crashed_destination")
 
 
 def render_deployment_map(
@@ -117,23 +121,40 @@ def render_interference_summary(interference: InterferenceMap) -> str:
 
 
 def render_protocol_timeline(
-    events: Sequence,
+    events: Iterable[Mapping[str, Any]],
     max_rows: int = 40,
 ) -> str:
     """Render a distributed run's message trace as a per-slot timeline.
 
-    ``events`` is the :class:`~repro.distributed.simulator.MessageEvent`
-    sequence of a run executed with ``record_events=True``.  One row per
+    ``events`` is a run's event stream, from a
+    :class:`~repro.obs.events.ListEventSink` or a trace file; only its
+    ``msg.sent`` and ``msg.dropped`` events are read.  One row per
     active slot: total messages sent, a volume bar, and the per-type
-    breakdown (dropped messages flagged with ``!``).  Long runs are
-    subsampled to ``max_rows`` rows, keeping the busiest slots.
+    breakdown (sends the network or a crashed destination dropped are
+    flagged with ``!``).  Long runs are subsampled to ``max_rows`` rows,
+    keeping the busiest slots.
     """
-    if not events:
-        return "(no events recorded -- run with record_events=True)"
-    by_slot: dict = {}
+    sends: List[List[Any]] = []  # [slot, type, dropped] per send
+    # A send-time drop follows its msg.sent at once, and ids restart
+    # with each run of a multi-run trace, so it flags the latest send.
+    latest: Dict[Any, int] = {}
     for event in events:
-        record = by_slot.setdefault(event.slot, {})
-        key = event.message_type + ("!" if event.dropped else "")
+        kind = event.get("event")
+        if kind == "msg.sent":
+            latest[event["id"]] = len(sends)
+            sends.append([event["slot"], event["type"], False])
+        elif kind == "msg.dropped" and (
+            event.get("reason") in _SEND_DROP_REASONS
+        ):
+            position = latest.get(event.get("id"))
+            if position is not None:
+                sends[position][2] = True
+    if not sends:
+        return "(no events recorded -- run with a live event sink)"
+    by_slot: dict = {}
+    for slot, message_type, dropped in sends:
+        record = by_slot.setdefault(slot, {})
+        key = message_type + ("!" if dropped else "")
         record[key] = record.get(key, 0) + 1
     slots = sorted(by_slot)
     if len(slots) > max_rows:

@@ -24,7 +24,7 @@ from repro.distributed.buyer_agent import BuyerAgent
 from repro.distributed.faults import FaultSchedule, PartitionedNetwork
 from repro.distributed.network import Network
 from repro.distributed.seller_agent import SellerAgent
-from repro.distributed.simulator import MessageEvent, TimeSlottedSimulator
+from repro.distributed.simulator import TimeSlottedSimulator
 from repro.distributed.transition import TransitionPolicy, default_policy
 from repro.engine.validation import matching_welfare, require_interference_free
 from repro.errors import ProtocolError
@@ -85,8 +85,6 @@ class DistributedResult:
     messages_delivered: int
     messages_dropped: int
     social_welfare: float
-    #: Per-message trace (empty unless ``record_events=True``).
-    events: Tuple[MessageEvent, ...] = ()
     status: str = "converged"
     crashes: int = 0
     restarts: int = 0
@@ -228,7 +226,6 @@ class DistributedSimulation:
             messages_delivered=simulator.messages_delivered,
             messages_dropped=simulator.messages_dropped,
             social_welfare=matching_welfare(market.utilities, matching),
-            events=simulator.events,
             status="degraded" if simulator.timed_out else "converged",
             crashes=simulator.crashes,
             restarts=simulator.restarts,
@@ -263,7 +260,6 @@ def build_distributed_simulation(
     reliable_transport: bool = False,
     retransmit_interval: int = 4,
     initial_matching: Optional[Matching] = None,
-    record_events: bool = False,
     recorder: Optional[Recorder] = None,
     fault_schedule: Optional[FaultSchedule] = None,
 ) -> DistributedSimulation:
@@ -323,7 +319,6 @@ def build_distributed_simulation(
         agents=agents,
         network=network,
         seed=seed,
-        record_events=record_events,
         recorder=rec,
         fault_schedule=fault_schedule,
     )
@@ -366,7 +361,6 @@ def run_distributed_matching(
     reliable_transport: bool = False,
     retransmit_interval: int = 4,
     initial_matching: Optional[Matching] = None,
-    record_events: bool = False,
     recorder: Optional[Recorder] = None,
     fault_schedule: Optional[FaultSchedule] = None,
     deadline_slots: Optional[int] = None,
@@ -452,7 +446,6 @@ def run_distributed_matching(
         reliable_transport=reliable_transport,
         retransmit_interval=retransmit_interval,
         initial_matching=initial_matching,
-        record_events=record_events,
         recorder=recorder,
         fault_schedule=fault_schedule,
     )

@@ -258,13 +258,12 @@ class SellerAgent(Agent):
         self._pending_applications.extend(applications)
 
         if not self._outstanding_offers and self._pending_applications:
-            applicants = []
-            seen: Set[int] = set()
-            for buyer in self._pending_applications:
-                if buyer not in seen and buyer not in self.waitlist:
-                    seen.add(buyer)
-                    applicants.append(buyer)
+            applicants = list(dict.fromkeys(self._pending_applications))
             self._pending_applications = []
+            # Members are left out of the contest (``compatible`` skips
+            # the waitlist) and offered their own seat: a member who
+            # applies has lost her view (an amnesiac restart), and taking
+            # the offer brings it back in line at no cost.
             compatible = self._graph.independent_subset_greedily_compatible(
                 self.waitlist, applicants
             )
@@ -275,7 +274,7 @@ class SellerAgent(Agent):
                 )
             )
             for buyer in applicants:
-                offered = buyer in accepted
+                offered = buyer in accepted or buyer in self.waitlist
                 if offered:
                     self._outstanding_offers.add(buyer)
                 else:

@@ -219,30 +219,6 @@ class SlotContext:
 
 
 @dataclass(frozen=True)
-class MessageEvent:
-    """One sent message, as recorded by the kernel's optional tracer.
-
-    Attributes
-    ----------
-    slot:
-        Slot in which the message was sent.
-    sender / destination:
-        Wire ids of the endpoints.
-    message_type:
-        Class name of the message (payload bodies are not retained --
-        traces of long runs stay small).
-    dropped:
-        ``True`` when the network dropped the message.
-    """
-
-    slot: int
-    sender: str
-    destination: str
-    message_type: str
-    dropped: bool
-
-
-@dataclass(frozen=True)
 class _QueuedMessage:
     delivery_slot: int
     sequence: int
@@ -271,8 +247,6 @@ class TimeSlottedSimulator:
         the message within the same slot).
     seed:
         Seed for the shared RNG handed to agents and the network.
-    record_events:
-        Keep a per-message :class:`MessageEvent` trace in memory.
     recorder:
         Observability backend (``None`` resolves to the ambient recorder).
         When live, each slot reports message deltas, in-flight depth and
@@ -299,7 +273,6 @@ class TimeSlottedSimulator:
         agents: Iterable[Agent],
         network: Optional[Network] = None,
         seed: int = 0,
-        record_events: bool = False,
         recorder: Optional[Recorder] = None,
         fault_schedule: Optional[FaultSchedule] = None,
     ) -> None:
@@ -353,8 +326,6 @@ class TimeSlottedSimulator:
         self._messages_dropped = 0
         self._finished = False
         self._timed_out = False
-        self._record_events = record_events
-        self._events: List[MessageEvent] = []
         # Fault-execution state (all dormant without a schedule).
         self._crashed: set = set()
         self._checkpoints: Dict[str, Any] = {}
@@ -436,11 +407,6 @@ class TimeSlottedSimulator:
         """Whether :meth:`run` stopped at the slot bound without quiescing."""
         return self._timed_out
 
-    @property
-    def events(self) -> Tuple[MessageEvent, ...]:
-        """Recorded message events (empty unless ``record_events=True``)."""
-        return tuple(self._events)
-
     def agent(self, agent_id: str) -> Agent:
         """Look up an agent by id (raises for unknown ids)."""
         try:
@@ -491,30 +457,10 @@ class TimeSlottedSimulator:
             self._messages_lost_to_crash += 1
             if tracker is not None:
                 self._emit_msg_dropped(msg_id, "crashed_destination")
-            if self._record_events:
-                self._events.append(
-                    MessageEvent(
-                        slot=self._now,
-                        sender=message.sender,
-                        destination=destination,
-                        message_type=type(message).__name__,
-                        dropped=True,
-                    )
-                )
             return msg_id if tracker is not None else None
         verdict = self._network.route_message(
             self._now, self._rng, message.sender, destination, message
         )
-        if self._record_events:
-            self._events.append(
-                MessageEvent(
-                    slot=self._now,
-                    sender=message.sender,
-                    destination=destination,
-                    message_type=type(message).__name__,
-                    dropped=verdict is None,
-                )
-            )
         if verdict is None:
             self._messages_dropped += 1
             if tracker is not None:
@@ -853,7 +799,6 @@ class TimeSlottedSimulator:
             "messages_dropped": self._messages_dropped,
             "finished": self._finished,
             "timed_out": self._timed_out,
-            "events": list(self._events),
             "crashed": sorted(self._crashed),
             "checkpoints": dict(self._checkpoints),
             "crash_slot": dict(self._crash_slot),
@@ -892,7 +837,8 @@ class TimeSlottedSimulator:
         The simulator must have been constructed with the same agent
         population, network model, fault schedule and observability wiring
         as the one that took the snapshot (the durable runtime rebuilds it
-        from the run manifest before calling this).
+        from the run manifest before calling this).  Keys this kernel does
+        not keep (older checkpoints hold an ``events`` list) are ignored.
         """
         unknown = set(state["agents"]) - set(self._agents)
         if unknown:
@@ -920,7 +866,6 @@ class TimeSlottedSimulator:
         self._messages_dropped = int(state["messages_dropped"])
         self._finished = bool(state["finished"])
         self._timed_out = bool(state["timed_out"])
-        self._events = list(state["events"])
         self._crashed = set(state["crashed"])
         self._checkpoints = dict(state["checkpoints"])
         self._crash_slot = dict(state["crash_slot"])

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Dict
 
 from repro.distributed.probability import PriceCdf, uniform_price_cdf
 from repro.errors import SpectrumMatchingError
@@ -37,6 +37,7 @@ __all__ = [
     "default_policy",
     "adaptive_policy",
     "neighbor_rule_policy",
+    "NAMED_POLICIES",
 ]
 
 
@@ -143,3 +144,12 @@ def neighbor_rule_policy() -> TransitionPolicy:
         buyer_rule=BuyerTransitionRule.NEIGHBORS_PROPOSED,
         seller_rule=SellerTransitionRule.DEFAULT,
     )
+
+
+#: The policies a run names (``engine.options.policy``, the CLI's
+#: ``--policy``), by name.  The one name-to-factory table: the spec
+#: checks, the Session and the ``distributed`` solver all read it.
+NAMED_POLICIES: Dict[str, Callable[[], TransitionPolicy]] = {
+    "default": default_policy,
+    "adaptive": adaptive_policy,
+}

@@ -23,7 +23,7 @@ from repro.core.matching import Matching
 from repro.core.two_stage import run_two_stage
 from repro.auction.mcafee import mcafee_double_auction
 from repro.distributed.protocol import run_distributed_matching
-from repro.distributed.transition import adaptive_policy, default_policy
+from repro.distributed.transition import NAMED_POLICIES
 from repro.engine.protocol import Capability
 from repro.engine.registry import register_solver
 from repro.engine.report import SolveReport, build_bound_report, build_report
@@ -65,6 +65,20 @@ class SolverAdapter:
     #: Config keys the adapter accepts beyond the shared ``check_stability``.
     config_keys: FrozenSet[str] = frozenset()
 
+    def check_config(self, config: Mapping[str, object]) -> None:
+        """Raise :class:`SolverError` for a config this solver refuses.
+
+        :meth:`solve` runs it first, and ``RunSpec.validate`` runs it on
+        a ``solve`` spec's options, so a dry run refuses what a run does.
+        """
+        unknown = set(config) - self.config_keys - {"check_stability"}
+        if unknown:
+            accepted = sorted(self.config_keys | {"check_stability"})
+            raise SolverError(
+                f"solver {self.name!r} got unknown config key(s) "
+                f"{sorted(unknown)}; accepted: {accepted}"
+            )
+
     def solve(
         self,
         market: SpectrumMarket,
@@ -74,14 +88,8 @@ class SolverAdapter:
     ) -> SolveReport:
         rec = resolve_recorder(recorder)
         cfg: Dict[str, object] = dict(config) if config else {}
+        self.check_config(cfg)
         check_stability = bool(cfg.pop("check_stability", False))
-        unknown = set(cfg) - self.config_keys
-        if unknown:
-            accepted = sorted(self.config_keys | {"check_stability"})
-            raise SolverError(
-                f"solver {self.name!r} got unknown config key(s) "
-                f"{sorted(unknown)}; accepted: {accepted}"
-            )
         timer = SpanTracer()
         # Install the resolved recorder as the ambient one for the
         # backend's duration: backends that resolve it themselves (most
@@ -318,18 +326,20 @@ class DistributedSolver(SolverAdapter):
             "on_timeout",
         }
     )
-    _POLICIES = {"default": default_policy, "adaptive": adaptive_policy}
+
+    def check_config(self, config):
+        super().check_config(config)
+        policy = config.get("policy")
+        if isinstance(policy, str) and policy not in NAMED_POLICIES:
+            raise SolverError(
+                f"unknown distributed policy {policy!r}; expected one of "
+                f"{sorted(NAMED_POLICIES)}"
+            )
 
     def _solve(self, market, config, recorder):
         policy = config.get("policy")
         if isinstance(policy, str):
-            try:
-                policy = self._POLICIES[policy]()
-            except KeyError:
-                raise SolverError(
-                    f"unknown distributed policy {policy!r}; expected one of "
-                    f"{sorted(self._POLICIES)}"
-                ) from None
+            policy = NAMED_POLICIES[policy]()
         result = run_distributed_matching(
             market,
             policy=policy,

@@ -66,8 +66,8 @@ from repro.obs.recorder import (
 )
 from repro.obs.server import TelemetryServer, parse_serve_address
 from repro.obs.slo import SloEngine, SloRule, SloViolation, parse_slo_rule
-from repro.obs.spans import NullSpanTracer, SpanRecord, SpanTracer
-from repro.obs.summary import format_metrics_summary, format_span_tree
+from repro.obs.spans import NullSpanTracer, SpanRecord, SpanTracer, span_table
+from repro.obs.summary import format_metrics_summary, format_span_table
 
 __all__ = [
     "EventSink",
@@ -93,8 +93,9 @@ __all__ = [
     "NullSpanTracer",
     "SpanRecord",
     "SpanTracer",
+    "span_table",
     "format_metrics_summary",
-    "format_span_tree",
+    "format_span_table",
     "RunRegistry",
     "NullRunRegistry",
     "NULL_RUN_REGISTRY",

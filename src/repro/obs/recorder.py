@@ -67,17 +67,7 @@ class Recorder:
             def _mirror(record: SpanRecord, _previous=previous) -> None:
                 if _previous is not None:
                     _previous(record)
-                self.events.emit(
-                    {
-                        "event": "span",
-                        "name": record.name,
-                        "depth": record.depth,
-                        "parent": record.parent,
-                        "wall_s": record.wall_s,
-                        "cpu_s": record.cpu_s,
-                        "start_s": record.start_s,
-                    }
-                )
+                self.events.emit(record.to_event())
 
             self.spans.on_finish = _mirror
         #: Cached master switch consulted on hot paths.

@@ -2,9 +2,15 @@
 
 A *span* is one timed region of the pipeline (``stage1``, ``stage2.
 transfer``, ``simulator.run`` ...).  Spans nest: the tracer keeps a stack,
-so each finished :class:`SpanRecord` knows its depth and parent and the
-collection can be rendered as a tree (``repro.obs.summary``) or emitted as
-flat events.
+so each finished :class:`SpanRecord` knows its depth, and the records,
+kept in finish order, give the tree (:func:`span_parents`).
+
+This module is the one home of the span schema: :meth:`SpanRecord.
+to_event` is the only record-to-event encoding (the recorder's trace
+mirror and the profiler both use it), and :func:`span_table` is the only
+aggregation of span events into per-name rows, which
+:func:`repro.obs.summary.format_span_table` prints for ``--metrics``,
+``repro trace summarize`` and ``repro profile top`` alike.
 
 Wall time uses :func:`time.perf_counter`; CPU time uses
 :func:`time.process_time`, so a span that mostly sleeps (or waits on a
@@ -19,9 +25,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
-__all__ = ["SpanRecord", "SpanTracer", "NullSpanTracer", "self_times"]
+__all__ = [
+    "SpanRecord",
+    "SpanTracer",
+    "NullSpanTracer",
+    "self_times",
+    "span_parents",
+    "span_table",
+]
 
 
 @dataclass(frozen=True)
@@ -32,12 +54,10 @@ class SpanRecord:
     ----------
     name:
         Dotted region name, e.g. ``"stage2.transfer"``.
-    index / parent:
-        Position in the tracer's record list and the parent span's index
-        (``-1`` for roots).  Children always finish before their parent,
-        so a child's index is *smaller* than its parent's.
     depth:
-        Nesting depth (0 for roots).
+        Nesting depth (0 for roots).  A tracer keeps its records in
+        finish order, children before their parent, so depths and order
+        give the tree (:func:`span_parents`).
     wall_s / cpu_s:
         Elapsed :func:`time.perf_counter` / :func:`time.process_time`.
     start_s:
@@ -48,12 +68,42 @@ class SpanRecord:
     """
 
     name: str
-    index: int
-    parent: int
     depth: int
     wall_s: float
     cpu_s: float
     start_s: float = 0.0
+
+    def to_event(self) -> Dict[str, Any]:
+        """This span as a ``span`` event, the schema traces store.
+
+        Like the record, the event has no parent link: depth and finish
+        order carry the tree, so the recorder can mirror a span the
+        moment it finishes, while its parent is still open.
+        """
+        return {
+            "event": "span",
+            "name": self.name,
+            "depth": self.depth,
+            "wall_s": self.wall_s,
+            "cpu_s": self.cpu_s,
+            "start_s": self.start_s,
+        }
+
+
+def span_parents(depths: Sequence[int]) -> List[int]:
+    """Each span's parent position, from the depths of spans in finish order.
+
+    A parent finishes after all its children, so a span adopts every
+    span one level deeper that finished since the last span at its own
+    depth.  Roots get ``-1``.
+    """
+    parents = [-1] * len(depths)
+    waiting: Dict[int, List[int]] = {}
+    for index, depth in enumerate(depths):
+        for child in waiting.pop(depth + 1, ()):
+            parents[child] = index
+        waiting.setdefault(depth, []).append(index)
+    return parents
 
 
 def self_times(parents: Sequence[int], walls: Sequence[float]) -> List[float]:
@@ -64,8 +114,7 @@ def self_times(parents: Sequence[int], walls: Sequence[float]) -> List[float]:
     subtracted, because a child's wall already covers its own
     descendants.  The result is floored at 0: clock granularity can make
     children measure longer than their parent.  This is the one
-    self-time rule behind the span tree summary, the profile span table
-    and the collapsed-stack export.
+    self-time rule behind the span table and the collapsed-stack export.
     """
     child_wall = [0.0] * len(walls)
     for parent, wall in zip(parents, walls):
@@ -74,15 +123,42 @@ def self_times(parents: Sequence[int], walls: Sequence[float]) -> List[float]:
     return [max(wall - child, 0.0) for wall, child in zip(walls, child_wall)]
 
 
+def span_table(events: Iterable[Mapping[str, Any]]) -> List[Dict[str, Any]]:
+    """Aggregate the ``span`` events of a stream by name into table rows.
+
+    Other event types are skipped, so a whole trace can be passed.  Each
+    row carries ``count``, total ``wall_s``/``cpu_s`` and ``self_s`` (wall
+    minus *direct* children, by :func:`self_times`).  Rows are sorted by
+    descending self time, ties by name.
+    """
+    spans = [event for event in events if event.get("event") == "span"]
+    self_s_of = self_times(
+        span_parents([int(span.get("depth", 0)) for span in spans]),
+        [float(span.get("wall_s", 0.0)) for span in spans],
+    )
+    rows: Dict[str, Dict[str, Any]] = {}
+    for span, self_s in zip(spans, self_s_of):
+        name = str(span.get("name", "span"))
+        row = rows.setdefault(
+            name,
+            {"name": name, "count": 0, "wall_s": 0.0,
+             "cpu_s": 0.0, "self_s": 0.0},
+        )
+        row["count"] += 1
+        row["wall_s"] += float(span.get("wall_s", 0.0))
+        row["cpu_s"] += float(span.get("cpu_s", 0.0))
+        row["self_s"] += self_s
+    return sorted(rows.values(), key=lambda r: (-r["self_s"], r["name"]))
+
+
 class _ActiveSpan:
     """Context manager for one running span (internal)."""
 
-    __slots__ = ("_tracer", "name", "parent", "depth", "_wall0", "_cpu0")
+    __slots__ = ("_tracer", "name", "depth", "_wall0", "_cpu0")
 
     def __init__(self, tracer: "SpanTracer", name: str) -> None:
         self._tracer = tracer
         self.name = name
-        self.parent = -1
         self.depth = 0
         self._wall0 = 0.0
         self._cpu0 = 0.0
@@ -120,10 +196,6 @@ class SpanTracer:
         self.records: List[SpanRecord] = []
         self.on_finish = on_finish
         self._stack: List[_ActiveSpan] = []
-        #: Index of the record produced by each *open* ancestor is unknown
-        #: until it closes, so children remember their parent object and
-        #: the tracer fixes up indices as spans finish.
-        self._pending_parents: dict = {}
 
     def span(self, name: str) -> _ActiveSpan:
         """Open a span; use as ``with tracer.span("stage1"): ...``."""
@@ -135,45 +207,16 @@ class SpanTracer:
             f"span {active.name!r} closed out of order"
         )
         stack.pop()
-        index = len(self.records)
-        # A parent's index is unknown until it finishes (after us), so the
-        # child registers a forward promise keyed by the parent *object*
-        # and the parent patches its children when it closes.
         record = SpanRecord(
             name=active.name,
-            index=index,
-            parent=-1,  # roots stay -1; others patched by _resolve_children
             depth=active.depth,
             wall_s=wall_s,
             cpu_s=cpu_s,
             start_s=active._wall0,
         )
-        if stack:
-            self._pending_parents.setdefault(id(stack[-1]), []).append(index)
         self.records.append(record)
-        self._resolve_children(id(active), index)
         if self.on_finish is not None:
-            self.on_finish(self.records[index])
-
-    def _resolve_children(self, parent_key: int, index: int) -> None:
-        children = self._pending_parents.pop(parent_key, None)
-        if not children:
-            return
-        for child_index in children:
-            old = self.records[child_index]
-            self.records[child_index] = SpanRecord(
-                name=old.name,
-                index=old.index,
-                parent=index,
-                depth=old.depth,
-                wall_s=old.wall_s,
-                cpu_s=old.cpu_s,
-                start_s=old.start_s,
-            )
-
-    def roots(self) -> List[SpanRecord]:
-        """Finished top-level spans, in completion order."""
-        return [r for r in self.records if r.depth == 0]
+            self.on_finish(record)
 
 
 class _NullSpan:

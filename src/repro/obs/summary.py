@@ -2,18 +2,21 @@
 
 The CLI's ``--metrics`` flag prints this after a command finishes; the
 benchmark harness writes the JSON snapshot instead (machine-readable),
-so both views come from the same instruments.
+so both views come from the same instruments.  :func:`format_span_table`
+is the one span printer: ``--metrics``, ``repro trace summarize`` and
+``repro profile top`` all print their :func:`~repro.obs.spans.span_table`
+rows through it.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import snapshot_quantile
 from repro.obs.recorder import Recorder
-from repro.obs.spans import self_times
+from repro.obs.spans import span_table
 
-__all__ = ["format_metrics_summary", "format_span_tree"]
+__all__ = ["format_metrics_summary", "format_span_table"]
 
 
 def format_metrics_summary(recorder: Recorder) -> str:
@@ -64,76 +67,38 @@ def format_metrics_summary(recorder: Recorder) -> str:
                 f"max={stats['max']:g}"
             )
 
-    tree = format_span_tree(recorder)
-    if tree:
-        lines.append("spans (wall / cpu / self):")
-        lines.append(tree)
+    rows = span_table(record.to_event() for record in recorder.spans.records)
+    if rows:
+        lines.append("spans:")
+        lines.append(format_span_table(rows))
 
     if not lines:
         return "(no metrics recorded)"
     return "\n".join(lines)
 
 
-def format_span_tree(
-    recorder: Recorder, max_lines: int = 40, sort: str = "record"
+def format_span_table(
+    rows: Sequence[Dict[str, Any]], limit: Optional[int] = None
 ) -> str:
-    """Indented span tree, aggregated by (depth, name, parent-chain).
+    """Render :func:`~repro.obs.spans.span_table` rows as a text table.
 
-    Repeated spans (e.g. one ``stage1.mwis`` per seller per round) are
-    rolled up into one line with a count, so the tree stays readable for
-    arbitrarily long runs.  Each line shows wall, cpu and *self* time
-    (wall minus direct children), so the dominant leaf phase is visible
-    without exporting the trace.  ``sort`` orders siblings: ``record``
-    keeps first-finish order, ``self`` puts the most expensive first.
-    At most ``max_lines`` lines are returned; a truncation marker
-    reports anything dropped.
+    Columns are count, self, wall and CPU seconds, and ``share``: the
+    row's self time over the summed self time of *all* rows, so the
+    shares of a ``limit``-truncated table still refer to the whole run.
+    Returns ``""`` when there are no rows.
     """
-    if sort not in ("record", "self"):
-        raise ValueError(
-            f"format_span_tree: sort must be 'record' or 'self', got {sort!r}"
-        )
-    records = recorder.spans.records
-    if not records:
+    if not rows:
         return ""
-
-    # Children finish before parents, so rebuild the tree from the
-    # parent indices.  Siblings sharing a name roll up into one group,
-    # and the children of *every* record in a group are pooled before
-    # they are grouped in turn, so a span repeated under a repeated
-    # parent still renders as one line.
-    self_s_of = self_times(
-        [record.parent for record in records],
-        [record.wall_s for record in records],
-    )
-    children: dict = {}
-    for record in records:
-        children.setdefault(record.parent, []).append(record)
-
-    lines: List[str] = []
-
-    def render(parent_indices: List[int], indent: int) -> None:
-        grouped: dict = {}
-        for parent_index in parent_indices:
-            for record in children.get(parent_index, []):
-                grouped.setdefault(record.name, []).append(record)
-        groups = [
-            (name, group, sum(self_s_of[r.index] for r in group))
-            for name, group in grouped.items()
-        ]
-        if sort == "self":
-            groups.sort(key=lambda item: -item[2])
-        for name, group, self_s in groups:
-            wall = sum(r.wall_s for r in group)
-            cpu = sum(r.cpu_s for r in group)
-            count = f" x{len(group)}" if len(group) > 1 else ""
-            lines.append(
-                f"{'  ' * (indent + 1)}{name}{count}  "
-                f"{wall:.6f}s / {cpu:.6f}s / {self_s:.6f}s"
-            )
-            render([record.index for record in group], indent + 1)
-
-    render([-1], 0)
-    if len(lines) > max_lines:
-        dropped = len(lines) - max_lines
-        lines = lines[:max_lines] + [f"  ... ({dropped} more span lines)"]
+    total = sum(row["self_s"] for row in rows)
+    lines = [
+        f"{'span':<28} {'count':>7} {'self_s':>10} "
+        f"{'wall_s':>10} {'cpu_s':>10} {'share':>7}"
+    ]
+    for row in rows[:limit]:
+        share = row["self_s"] / total if total > 0.0 else 0.0
+        lines.append(
+            f"{row['name']:<28} {row['count']:>7} "
+            f"{row['self_s']:>10.6f} {row['wall_s']:>10.6f} "
+            f"{row['cpu_s']:>10.6f} {share:>7.1%}"
+        )
     return "\n".join(lines)

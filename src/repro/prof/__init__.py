@@ -16,8 +16,8 @@ Three layers:
   their diff/top renderers (behind ``repro profile``).
 """
 
-from repro.prof.attribution import alloc_table, function_table, span_table
-from repro.prof.collector import Profiler, span_events_from_records
+from repro.prof.attribution import alloc_table, function_table
+from repro.prof.collector import Profiler
 from repro.prof.counters import (
     flush_cost_counters,
     reset_cost_counters,
@@ -50,7 +50,5 @@ __all__ = [
     "load_profile",
     "reset_cost_counters",
     "snapshot_cost_counters",
-    "span_events_from_records",
-    "span_table",
     "write_profile",
 ]

@@ -1,46 +1,18 @@
-"""Attribution tables: spans, functions and allocation sites as rows.
+"""Attribution tables: functions and allocation sites as rows.
 
-Pure functions turning the three raw profile sources -- the recorder's
-:class:`~repro.obs.spans.SpanRecord` list, a :mod:`pstats` statistics
-mapping and a :mod:`tracemalloc` snapshot -- into plain, JSON-ready row
-dicts sorted most-expensive-first.  The collector assembles them into
+Pure functions turning two raw profile sources -- a :mod:`pstats`
+statistics mapping and a :mod:`tracemalloc` snapshot -- into plain,
+JSON-ready row dicts sorted most-expensive-first.  Span rows come from
+:func:`repro.obs.spans.span_table`.  The collector assembles them into
 the ``profile.json`` artifact; ``repro profile top`` renders them.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
-from repro.obs.spans import self_times
-
-__all__ = ["span_table", "function_table", "alloc_table"]
-
-
-def span_table(records: Sequence[Any]) -> List[Dict[str, Any]]:
-    """Aggregate span records by name into attributed phase rows.
-
-    Each row carries ``count``, total ``wall_s``/``cpu_s`` and
-    ``self_s`` -- wall time minus the wall time of *direct* children --
-    so the dominant leaf phase is visible without any export.  Rows are
-    sorted by descending self time, ties by name.
-    """
-    self_s_of = self_times(
-        [record.parent for record in records],
-        [record.wall_s for record in records],
-    )
-    rows: Dict[str, Dict[str, Any]] = {}
-    for record, self_s in zip(records, self_s_of):
-        row = rows.setdefault(
-            record.name,
-            {"name": record.name, "count": 0, "wall_s": 0.0,
-             "cpu_s": 0.0, "self_s": 0.0},
-        )
-        row["count"] += 1
-        row["wall_s"] += record.wall_s
-        row["cpu_s"] += record.cpu_s
-        row["self_s"] += self_s
-    return sorted(rows.values(), key=lambda r: (-r["self_s"], r["name"]))
+__all__ = ["function_table", "alloc_table"]
 
 
 def function_table(stats: Any, top: int = 20) -> List[Dict[str, Any]]:

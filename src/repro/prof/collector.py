@@ -26,27 +26,12 @@ import platform
 import pstats
 from typing import Any, Dict, List, Optional
 
-from repro.prof.attribution import alloc_table, function_table, span_table
+from repro.obs.spans import span_table
+from repro.prof.attribution import alloc_table, function_table
 from repro.prof.counters import flush_cost_counters, reset_cost_counters
 from repro.prof.report import PROFILE_SCHEMA_VERSION, write_profile
 
-__all__ = ["Profiler", "span_events_from_records"]
-
-
-def span_events_from_records(records) -> List[Dict[str, Any]]:
-    """Span records as trace-shaped span event dicts (records order)."""
-    return [
-        {
-            "event": "span",
-            "name": record.name,
-            "depth": record.depth,
-            "parent": record.parent,
-            "wall_s": round(record.wall_s, 9),
-            "cpu_s": round(record.cpu_s, 9),
-            "start_s": round(record.start_s, 9),
-        }
-        for record in records
-    ]
+__all__ = ["Profiler"]
 
 
 class Profiler:
@@ -95,8 +80,9 @@ class Profiler:
                     tracemalloc.stop()
                     self._started_tracemalloc = False
         counters = flush_cost_counters(self.recorder.metrics)
-        records = list(getattr(self.recorder.spans, "records", ()))
-        self._span_events = span_events_from_records(records)
+        self._span_events = [
+            record.to_event() for record in self.recorder.spans.records
+        ]
         self.payload = {
             "schema": PROFILE_SCHEMA_VERSION,
             "meta": {
@@ -104,7 +90,7 @@ class Profiler:
                 "machine": platform.machine(),
                 **self.meta,
             },
-            "spans": span_table(records),
+            "spans": span_table(self._span_events),
             "functions": functions,
             "allocs": allocs,
             "counters": counters,

@@ -21,6 +21,7 @@ from typing import Any, Dict, List
 
 from repro.errors import ObservabilityError
 from repro.ioutil import atomic_write_json, atomic_write_text
+from repro.obs.summary import format_span_table
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
@@ -143,25 +144,16 @@ def format_top(
 ) -> List[str]:
     """Render one table of a profile payload, most expensive first.
 
-    ``section`` is ``spans`` (sorted by self time -- the dominant phase
-    leads), ``functions`` (cProfile self time) or ``allocs``
+    ``section`` is ``spans`` (the shared span table of
+    :func:`repro.obs.summary.format_span_table`, sorted by self time --
+    the dominant phase leads), ``functions`` (cProfile self time) or ``allocs``
     (tracemalloc site size).
     """
     if section == "spans":
-        rows = payload.get("spans", [])[:limit]
+        rows = payload.get("spans", [])
         if not rows:
             return ["(no spans recorded)"]
-        lines = [
-            f"{'span':<28} {'count':>7} {'self_s':>10} "
-            f"{'wall_s':>10} {'cpu_s':>10}"
-        ]
-        for row in rows:
-            lines.append(
-                f"{row['name']:<28} {row['count']:>7} "
-                f"{row['self_s']:>10.6f} {row['wall_s']:>10.6f} "
-                f"{row['cpu_s']:>10.6f}"
-            )
-        return lines
+        return format_span_table(rows, limit=limit).splitlines()
     if section == "functions":
         rows = payload.get("functions", [])[:limit]
         if not rows:

@@ -40,6 +40,7 @@ from repro.distributed.protocol import (
     DEFAULT_MAX_SLOTS,
     run_distributed_matching,
 )
+from repro.distributed.transition import NAMED_POLICIES
 from repro.engine import registry
 from repro.errors import ObservabilityError, SpecError
 from repro.ioutil import atomic_write_text
@@ -115,8 +116,6 @@ def build_policy(name: str):
     ``"both"`` names a comparison, not a policy: the CLI's
     ``distributed`` command expands it into one run per policy.
     """
-    from repro.distributed.transition import adaptive_policy, default_policy
-
     if name == "both":
         raise SpecError(
             "engine.options.policy: a Session runs a single policy; "
@@ -128,7 +127,7 @@ def build_policy(name: str):
             + ", ".join(repr(policy) for policy in POLICIES)
             + f", got {name!r}"
         )
-    return adaptive_policy() if name == "adaptive" else default_policy()
+    return NAMED_POLICIES[name]()
 
 
 def build_network(faults: FaultSpec):

@@ -41,7 +41,8 @@ import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.errors import SimulationError, SpecError
+from repro.distributed.transition import NAMED_POLICIES
+from repro.errors import SimulationError, SolverError, SpecError
 from repro.ioutil import canonical_json, config_hash
 
 __all__ = [
@@ -81,7 +82,7 @@ RUN_COMMANDS = (
 #: The transition policies ``engine.options.policy`` names in ``chaos`` and
 #: ``distributed`` runs; ``distributed`` also takes ``"both"``, which that
 #: command expands into one run per policy.
-POLICIES = ("default", "adaptive")
+POLICIES = tuple(NAMED_POLICIES)
 
 _SCENARIOS = ("paper", "toy", "counterexample")
 _STRATEGIES = ("warm", "cold", "both")
@@ -559,6 +560,8 @@ class RunSpec(_Section, section="spec"):
                 self.engine.options.get("policy", "default"),
                 policies,
             )
+        if self.command == "solve":
+            self._validate_solver()
         if self.command == "dynamic":
             if self.market.workload is None:
                 raise SpecError(
@@ -573,6 +576,22 @@ class RunSpec(_Section, section="spec"):
                     "a durable dynamic run needs a single strategy "
                     "(--strategy warm|cold)"
                 )
+
+    def _validate_solver(self) -> None:
+        """A ``solve`` spec names a registered solver that takes its options."""
+        from repro.engine.registry import get_solver
+
+        try:
+            solver = get_solver(self.engine.name)
+        except SolverError as exc:
+            raise SpecError(f"engine.name: {exc}") from None
+        # Solvers registered from outside need not declare a check.
+        check = getattr(solver, "check_config", None)
+        if check is not None:
+            try:
+                check(self.engine.options)
+            except SolverError as exc:
+                raise SpecError(f"engine.options: {exc}") from None
 
     # ------------------------------------------------------------------
     # Durable-run identity

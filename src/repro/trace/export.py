@@ -27,7 +27,7 @@ import re
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.spans import self_times
+from repro.obs.spans import self_times, span_parents
 
 __all__ = [
     "to_chrome_trace",
@@ -377,18 +377,19 @@ def _parse_histogram(
 
 def _span_tree(
     events: List[Dict[str, Any]],
-) -> Tuple[List[Dict[str, Any]], Dict[int, List[int]]]:
-    """Span events plus a parent-index -> child-indices map.
+) -> Tuple[List[Dict[str, Any]], List[int], Dict[int, List[int]]]:
+    """Span events, their parent positions and a parent -> children map.
 
-    Span events appear in the stream in finish order, which is exactly
-    the tracer's record index order, so position in the filtered list is
-    the index the ``parent`` field refers to (roots carry ``-1``).
+    Span events appear in the stream in finish order, so the tree is
+    recovered from their depths (:func:`~repro.obs.spans.span_parents`);
+    roots have parent ``-1``.
     """
     spans = [e for e in events if e.get("event") == "span"]
+    parents = span_parents([int(span.get("depth", 0)) for span in spans])
     children: Dict[int, List[int]] = {}
-    for index, span in enumerate(spans):
-        children.setdefault(int(span.get("parent", -1)), []).append(index)
-    return spans, children
+    for index, parent in enumerate(parents):
+        children.setdefault(parent, []).append(index)
+    return spans, parents, children
 
 
 def to_collapsed(events: List[Dict[str, Any]]) -> str:
@@ -400,10 +401,9 @@ def to_collapsed(events: List[Dict[str, Any]]) -> str:
     are dropped; output is sorted, so two identical traces collapse to
     identical bytes.
     """
-    spans, _ = _span_tree(events)
+    spans, parents, _ = _span_tree(events)
     self_s_of = self_times(
-        [int(span.get("parent", -1)) for span in spans],
-        [float(span.get("wall_s", 0.0)) for span in spans],
+        parents, [float(span.get("wall_s", 0.0)) for span in spans]
     )
     stacks: Dict[str, int] = {}
     for index, self_s in enumerate(self_s_of):
@@ -411,11 +411,10 @@ def to_collapsed(events: List[Dict[str, Any]]) -> str:
         if self_us <= 0:
             continue
         frames = []
-        cursor: Optional[int] = index
-        while cursor is not None and cursor >= 0:
+        cursor = index
+        while cursor >= 0:
             frames.append(str(spans[cursor].get("name", "span")))
-            parent = int(spans[cursor].get("parent", -1))
-            cursor = parent if parent >= 0 else None
+            cursor = parents[cursor]
         stack = ";".join(reversed(frames))
         stacks[stack] = stacks.get(stack, 0) + self_us
     lines = [f"{stack} {count}" for stack, count in sorted(stacks.items())]
@@ -432,7 +431,7 @@ def to_speedscope(
     deterministic (independent of real start timestamps) and always
     properly nested.  Durations are the recorded wall seconds.
     """
-    spans, children = _span_tree(events)
+    spans, _, children = _span_tree(events)
     frame_index: Dict[str, int] = {}
     frames: List[Dict[str, Any]] = []
 

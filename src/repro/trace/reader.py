@@ -17,6 +17,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from repro.errors import ObservabilityError
 from repro.obs.events import AnyRound, event_to_round
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
+from repro.obs.spans import span_table
+from repro.obs.summary import format_span_table
 
 __all__ = ["TraceReader", "TraceSummary", "format_summary", "load_events"]
 
@@ -86,15 +88,15 @@ class TraceSummary:
         ``(label, welfare)`` pairs in run order (stage1 / phase1 / phase2
         from ``two_stage.result``, final welfare from a distributed
         ``run_end``) -- the convergence trajectory of Section IV's plots.
-    mwis_wall_s / total_wall_s / mwis_share:
-        Wall-clock spent in MWIS spans, in root spans, and their ratio
-        (zeros when the trace carries no spans).
     messages_sent / messages_delivered / messages_dropped:
         Kernel message-causality totals (zeros for centralised traces).
     drop_reasons:
         ``reason -> count`` over ``msg.dropped`` events.
     slots:
         Simulated slots (from ``distributed.run_end``; ``None`` otherwise).
+    spans:
+        The trace's span table (:func:`~repro.obs.spans.span_table` rows;
+        empty when the trace carries no spans).
     """
 
     source: str
@@ -106,14 +108,12 @@ class TraceSummary:
     rounds_invitation: int
     per_seller: Mapping[int, Mapping[str, int]]
     welfare_trajectory: Tuple[Tuple[str, float], ...]
-    mwis_wall_s: float
-    total_wall_s: float
-    mwis_share: float
     messages_sent: int
     messages_delivered: int
     messages_dropped: int
     drop_reasons: Mapping[str, int] = field(default_factory=dict)
     slots: Optional[int] = None
+    spans: Tuple[Mapping[str, Any], ...] = ()
 
     @property
     def rounds_to_convergence(self) -> int:
@@ -217,7 +217,6 @@ class TraceReader:
 
         rounds_stage1 = rounds_transfer = rounds_invitation = 0
         welfare: List[Tuple[str, float]] = []
-        mwis_wall = total_wall = 0.0
         sent = delivered = dropped = 0
         drop_reasons: Dict[str, int] = {}
         slots: Optional[int] = None
@@ -261,12 +260,6 @@ class TraceReader:
                     welfare.append(("final", float(event["social_welfare"])))
                 if "slots" in event:
                     slots = int(event["slots"])
-            elif kind == "span":
-                wall = float(event.get("wall_s", 0.0))
-                if "mwis" in str(event.get("name", "")):
-                    mwis_wall += wall
-                if event.get("depth") == 0:
-                    total_wall += wall
             elif kind == "msg.sent":
                 sent += 1
             elif kind == "msg.delivered":
@@ -287,14 +280,12 @@ class TraceReader:
             rounds_invitation=rounds_invitation,
             per_seller=per_seller,
             welfare_trajectory=tuple(welfare),
-            mwis_wall_s=mwis_wall,
-            total_wall_s=total_wall,
-            mwis_share=(mwis_wall / total_wall) if total_wall > 0.0 else 0.0,
             messages_sent=sent,
             messages_delivered=delivered,
             messages_dropped=dropped,
             drop_reasons=drop_reasons,
             slots=slots,
+            spans=tuple(span_table(self.events)),
         )
 
 
@@ -328,11 +319,6 @@ def format_summary(summary: TraceSummary) -> str:
             f"{label}={value:g}" for label, value in summary.welfare_trajectory
         )
         lines.append(f"welfare: {steps}")
-    if summary.total_wall_s > 0.0:
-        lines.append(
-            f"mwis time share: {summary.mwis_share:.1%} "
-            f"({summary.mwis_wall_s:.6f}s of {summary.total_wall_s:.6f}s)"
-        )
     if summary.messages_sent or summary.messages_dropped:
         reasons = ", ".join(
             f"{reason}={count}"
@@ -344,4 +330,7 @@ def format_summary(summary: TraceSummary) -> str:
             f"dropped={summary.messages_dropped}"
             + (f" ({reasons})" if reasons else "")
         )
+    if summary.spans:
+        lines.append("spans:")
+        lines.append(format_span_table(summary.spans))
     return "\n".join(lines)

@@ -415,6 +415,21 @@ class TestSellerStageTwo:
         assert 2 not in seller.waitlist
         assert seller.is_done()
 
+    def test_member_reapplying_is_offered_her_own_seat(self):
+        """A member who applies (an amnesiac restart forgot her seat) gets
+        an offer, not silence that would stall her stop-and-wait, and
+        taking it leaves the coalition as it was."""
+        market = make_market()
+        seller = SellerAgent(1, market, default_policy(), initial_coalition={2})
+        recorder = Recorder()
+        seller.step([TransferApply(buyer_agent_id(2), 2)], recorder.ctx(1))
+        verdicts = recorder.of_type(TransferVerdict)
+        assert [(d, m.offered) for d, m in verdicts] == [(buyer_agent_id(2), True)]
+        seller.step(
+            [TransferAnswer(buyer_agent_id(2), 2, True)], recorder.ctx(2)
+        )
+        assert seller.waitlist == {2}
+
     def test_rejected_applicant_is_invited_in_phase_two(self):
         market = make_market()
         seller = SellerAgent(0, market, default_policy())

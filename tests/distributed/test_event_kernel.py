@@ -86,7 +86,6 @@ def observed_run(market, **kwargs):
     recorder = Recorder(events=ListEventSink(), metrics=MetricsRegistry())
     outcome = run_distributed_matching(
         market,
-        record_events=True,
         recorder=recorder,
         max_slots=MAX_SLOTS,
         **kwargs,

@@ -25,6 +25,7 @@ from repro.distributed.transition import (
     neighbor_rule_policy,
 )
 from repro.errors import SpectrumMatchingError
+from repro.obs import ListEventSink, Recorder
 from repro.workloads.scenarios import (
     counterexample_market,
     paper_simulation_market,
@@ -308,59 +309,134 @@ class TestWarmStart:
         assert warm.matching == centralized.matching
 
 
-class TestEventTracing:
-    def test_events_empty_by_default(self):
-        market = toy_example_market()
-        result = run_distributed_matching(market, policy=default_policy())
-        assert result.events == ()
+def traced_run(market, **kwargs):
+    """One run with a live event sink: (result, its event stream)."""
+    recorder = Recorder(events=ListEventSink())
+    result = run_distributed_matching(market, recorder=recorder, **kwargs)
+    return result, recorder.events.events
 
-    def test_events_recorded_when_requested(self):
+
+#: ``render_protocol_timeline`` of the toy market under the adaptive rules,
+#: as the in-memory per-message trace rendered it before the timeline read
+#: the kernel's ``msg.*`` events.
+TOY_ADAPTIVE_TIMELINE = """\
+slot  msgs  breakdown
+   0    10  ############ Proposex5 Stage1Decisionx5
+   1     6  #######      Proposex2 Stage1Decisionx4
+   2     7  ########     Proposex1 SellerStageNotifyx2 Stage1Decisionx2 TransferApplyx2
+   3     6  #######      SellerStageNotifyx1 TransferApplyx2 TransferVerdictx3
+   4     5  ######       Leavex1 TransferAnswerx1 TransferApplyx1 TransferVerdictx2
+   5     3  ###          TransferAnswerx1 TransferApplyx1 TransferVerdictx1
+   6     1  #            TransferAnswerx1"""
+
+
+class TestEventTracing:
+    def test_tracing_does_not_change_the_run(self):
         market = toy_example_market()
-        result = run_distributed_matching(
-            market, policy=default_policy(), record_events=True
-        )
-        assert len(result.events) == result.messages_sent
-        types = {event.message_type for event in result.events}
+        plain = run_distributed_matching(market, policy=default_policy())
+        traced, _ = traced_run(market, policy=default_policy())
+        assert traced == plain
+
+    def test_one_msg_sent_per_send(self):
+        market = toy_example_market()
+        result, events = traced_run(market, policy=default_policy())
+        sent = [event for event in events if event["event"] == "msg.sent"]
+        assert len(sent) == result.messages_sent
+        types = {event["type"] for event in sent}
         assert "Propose" in types
         assert "TransferApply" in types
-        assert all(not event.dropped for event in result.events)
+        assert not [e for e in events if e["event"] == "msg.dropped"]
 
-    def test_events_mark_drops_on_lossy_networks(self):
+    def test_network_drops_are_traced_on_lossy_networks(self):
         from repro.distributed.network import LossyNetwork
 
         market = toy_example_market()
-        result = run_distributed_matching(
+        result, events = traced_run(
             market,
             policy=default_policy(),
             network=LossyNetwork(0.3),
             seed=3,
             reliable_transport=True,
-            record_events=True,
             max_slots=50_000,
         )
-        dropped = [event for event in result.events if event.dropped]
+        dropped = [
+            event for event in events
+            if event["event"] == "msg.dropped" and event["reason"] == "network"
+        ]
         assert len(dropped) == result.messages_dropped
         assert dropped  # 30% loss must drop something
 
     def test_timeline_rendering(self):
         from repro.analysis.visualization import render_protocol_timeline
 
-        market = toy_example_market()
-        result = run_distributed_matching(
-            market, policy=adaptive_policy(), record_events=True
+        _, events = traced_run(toy_example_market(), policy=adaptive_policy())
+        assert render_protocol_timeline(events) == TOY_ADAPTIVE_TIMELINE
+
+    def test_timeline_from_a_trace_file(self, tmp_path):
+        from repro.analysis.visualization import render_protocol_timeline
+        from repro.obs import JsonlEventSink
+        from repro.trace.reader import load_events
+
+        path = str(tmp_path / "toy.jsonl")
+        with Recorder(events=JsonlEventSink(path)) as recorder:
+            run_distributed_matching(
+                toy_example_market(), policy=adaptive_policy(),
+                recorder=recorder,
+            )
+        timeline = render_protocol_timeline(load_events(path))
+        assert timeline == TOY_ADAPTIVE_TIMELINE
+
+    def test_timeline_flags_send_drops(self):
+        from repro.analysis.visualization import render_protocol_timeline
+        from repro.distributed.network import LossyNetwork
+
+        result, events = traced_run(
+            toy_example_market(),
+            policy=default_policy(),
+            network=LossyNetwork(0.3),
+            seed=3,
+            reliable_transport=True,
+            max_slots=50_000,
         )
-        art = render_protocol_timeline(result.events)
-        assert "Propose" in art
-        assert "slot" in art.splitlines()[0]
+        art = render_protocol_timeline(events, max_rows=10 ** 6)
+        flagged = sum(
+            int(entry.rsplit("x", 1)[1])
+            for line in art.splitlines()[1:]
+            for entry in line.split()[3:]
+            if "!x" in entry
+        )
+        assert flagged == result.messages_dropped
+
+    def test_timeline_flags_crashed_destinations_not_purges(self):
+        from repro.analysis.visualization import render_protocol_timeline
+
+        def sent(msg_id, slot, kind):
+            return {"event": "msg.sent", "id": msg_id, "slot": slot,
+                    "type": kind}
+
+        def dropped(msg_id, slot, reason):
+            return {"event": "msg.dropped", "id": msg_id, "slot": slot,
+                    "reason": reason}
+
+        events = [
+            sent(0, 1, "Propose"),
+            dropped(0, 1, "crashed_destination"),
+            sent(1, 1, "Propose"),
+            dropped(1, 3, "crash_purge"),
+            # A second run in the same trace numbers its messages afresh.
+            sent(0, 2, "Leave"),
+        ]
+        assert render_protocol_timeline(events).splitlines()[1:] == [
+            "   1     2  ############ Proposex1 Propose!x1",
+            "   2     1  ######       Leavex1",
+        ]
 
     def test_timeline_subsampling(self):
         from repro.analysis.visualization import render_protocol_timeline
 
         market = paper_simulation_market(15, 4, np.random.default_rng(208))
-        result = run_distributed_matching(
-            market, policy=default_policy(), record_events=True
-        )
-        art = render_protocol_timeline(result.events, max_rows=5)
+        _, events = traced_run(market, policy=default_policy())
+        art = render_protocol_timeline(events, max_rows=5)
         # header + at most 5 rows
         assert len(art.splitlines()) <= 6
 

@@ -15,6 +15,7 @@ from repro.distributed.messages import Message
 from repro.distributed.network import DelayedNetwork
 from repro.distributed.simulator import Agent, SlotContext, TimeSlottedSimulator
 from repro.errors import SimulationError
+from repro.obs import ListEventSink, Recorder
 
 
 @dataclass(frozen=True)
@@ -306,36 +307,51 @@ class TestRestoreState:
             Responder("e", priority=1),
             Alarm("b", "e", alarms=[2, 3, 9], priority=2),
         ]
+        sink = ListEventSink()
         sim = TimeSlottedSimulator(
-            agents, network=DelayedNetwork(0, 2), seed=5, record_events=True
+            agents,
+            network=DelayedNetwork(0, 2),
+            seed=5,
+            recorder=Recorder(events=sink),
         )
-        return sim, agents
+        return sim, agents, sink
 
     @staticmethod
-    def observe(sim, agents):
+    def messages(sink):
+        """The kernel's message trace: its ``msg.*`` events."""
+        return [e for e in sink.events if e["event"].startswith("msg.")]
+
+    @staticmethod
+    def observe(sim, agents, messages):
         return (
             sim.now,
             sim.messages_sent,
             sim.messages_delivered,
-            sim.events,
+            messages,
             agents[0].replies,
             agents[1].seen,
             agents[2].replies,
         )
 
-    @pytest.mark.parametrize("interrupt_after", [1, 3, 5, 10])
-    def test_mid_run_restore_reproduces_uninterrupted_run(self, interrupt_after):
-        golden_sim, golden_agents = self.build()
-        golden_sim.run()
-        first_sim, _ = self.build()
+    def resume(self, interrupt_after, patch_state=dict):
+        """Run ``interrupt_after`` slots, snapshot, restore, finish."""
+        first_sim, _, first_sink = self.build()
         run_slots(first_sim, interrupt_after)
-        state = first_sim.snapshot_state()
-        resumed_sim, resumed_agents = self.build()
+        state = patch_state(first_sim.snapshot_state())
+        resumed_sim, resumed_agents, resumed_sink = self.build()
         resumed_sim.restore_state(state)
         resumed_sim.run()
-        assert self.observe(resumed_sim, resumed_agents) == self.observe(
-            golden_sim, golden_agents
+        messages = self.messages(first_sink) + self.messages(resumed_sink)
+        return self.observe(resumed_sim, resumed_agents, messages)
+
+    @pytest.mark.parametrize("interrupt_after", [1, 3, 5, 10])
+    def test_mid_run_restore_reproduces_uninterrupted_run(self, interrupt_after):
+        golden_sim, golden_agents, golden_sink = self.build()
+        golden_sim.run()
+        golden = self.observe(
+            golden_sim, golden_agents, self.messages(golden_sink)
         )
+        assert self.resume(interrupt_after) == golden
         assert golden_agents[1].seen  # the run did exchange messages
 
     @pytest.mark.parametrize("interrupt_after", [3, 5])
@@ -343,14 +359,23 @@ class TestRestoreState:
         """Restoring rewinds the wake bookkeeping too, not only the agents
         and the message queue: timers armed after the checkpoint must not
         survive it."""
-        golden_sim, golden_agents = self.build()
+        golden_sim, golden_agents, golden_sink = self.build()
         golden_sim.run()
-        sim, agents = self.build()
+        sim, agents, sink = self.build()
         run_slots(sim, interrupt_after)
         state = sim.snapshot_state()
+        at_snapshot = len(sink.events)
         run_slots(sim, 4)
+        ran_ahead = len(sink.events)
         sim.restore_state(state)
         sim.run()
-        assert self.observe(sim, agents) == self.observe(
-            golden_sim, golden_agents
+        # The trace as the restored run tells it: the slots run ahead of
+        # the checkpoint are undone.
+        sink.events = sink.events[:at_snapshot] + sink.events[ran_ahead:]
+        assert self.observe(sim, agents, self.messages(sink)) == self.observe(
+            golden_sim, golden_agents, self.messages(golden_sink)
         )
+
+    def test_restore_ignores_the_events_key_of_older_checkpoints(self):
+        older = self.resume(3, lambda state: {**state, "events": []})
+        assert older == self.resume(3)

@@ -1,17 +1,15 @@
-"""Unit tests for the metrics/span text summaries.
+"""Unit tests for the metrics summary and the shared span table.
 
-``format_span_tree`` now carries a self-time column (wall minus direct
-children) and a ``sort`` option; these pin the rendering contract the
-CLI's ``--metrics`` flag exposes.
+``format_span_table`` is the one span printer: ``--metrics``, ``repro
+trace summarize`` and ``repro profile top`` all print through it, so
+these pin its columns, its ``share`` rule and its truncation.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.obs import MetricsRegistry, Recorder
-from repro.obs.spans import SpanRecord, SpanTracer
-from repro.obs.summary import format_metrics_summary, format_span_tree
+from repro.obs.spans import SpanTracer, span_table
+from repro.obs.summary import format_metrics_summary, format_span_table
 
 
 def _recorder_with_spans():
@@ -29,122 +27,48 @@ def _recorder_with_spans():
     return recorder
 
 
-class TestFormatSpanTree:
-    def test_three_time_columns_per_line(self):
-        tree = format_span_tree(_recorder_with_spans())
-        for line in tree.splitlines():
-            # "name  wall / cpu / self" -- three slash-separated times.
-            assert line.count("/") == 2, line
+def _row(name, self_s, count=1, wall_s=None, cpu_s=None):
+    return {
+        "name": name,
+        "count": count,
+        "wall_s": self_s if wall_s is None else wall_s,
+        "cpu_s": self_s if cpu_s is None else cpu_s,
+        "self_s": self_s,
+    }
 
-    def test_repeated_spans_roll_up_with_count(self):
-        tree = format_span_tree(_recorder_with_spans())
-        assert "leaf x2" in tree
 
-    def test_children_of_repeated_parents_roll_up(self):
-        recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
-        for _ in range(3):
-            with recorder.span("round"):
-                with recorder.span("mwis"):
-                    pass
-                with recorder.span("mwis"):
-                    pass
-        lines = format_span_tree(recorder).splitlines()
-        assert [line.split()[:2] for line in lines] == [
-            ["round", "x3"],
-            ["mwis", "x6"],
+class TestFormatSpanTable:
+    def test_columns_and_row_layout(self):
+        text = format_span_table(
+            [_row("stage1.mwis", 3.0, count=4, wall_s=3.0, cpu_s=2.5),
+             _row("two_stage", 1.0, wall_s=4.0, cpu_s=3.5)]
+        )
+        assert text.splitlines() == [
+            "span                           count     self_s     wall_s"
+            "      cpu_s   share",
+            "stage1.mwis                        4   3.000000   3.000000"
+            "   2.500000   75.0%",
+            "two_stage                          1   1.000000   4.000000"
+            "   3.500000   25.0%",
         ]
 
-    def test_grandchildren_of_repeated_parents_roll_up(self):
-        recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
-        for _ in range(2):
-            with recorder.span("round"):
-                for _ in range(2):
-                    with recorder.span("stage"):
-                        for _ in range(2):
-                            with recorder.span("mwis"):
-                                pass
-        lines = format_span_tree(recorder).splitlines()
-        assert [line.split()[:2] for line in lines] == [
-            ["round", "x2"],
-            ["stage", "x4"],
-            ["mwis", "x8"],
-        ]
+    def test_share_is_taken_over_all_rows_before_truncation(self):
+        rows = [_row("a", 6.0), _row("b", 3.0), _row("c", 1.0)]
+        lines = format_span_table(rows, limit=1).splitlines()
+        assert len(lines) == 2  # header + one row
+        assert lines[1].split()[0] == "a"
+        assert lines[1].endswith("60.0%")
 
-    def test_same_name_under_different_parents_stays_apart(self):
-        recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
-        for parent in ("round", "final", "round"):
-            with recorder.span(parent):
-                with recorder.span("mwis"):
-                    pass
-        lines = format_span_tree(recorder).splitlines()
-        assert [line.rsplit("  ", 1)[0] for line in lines] == [
-            "  round x2",
-            "    mwis x2",
-            "  final",
-            "    mwis",
-        ]
+    def test_no_limit_prints_every_row(self):
+        rows = [_row(f"s{index}", 1.0) for index in range(12)]
+        assert len(format_span_table(rows).splitlines()) == 13
 
-    def test_rolled_up_line_sums_every_instance(self):
-        tracer = SpanTracer()
-        tracer.records = [
-            SpanRecord("mwis", 0, 2, 1, wall_s=1.0, cpu_s=0.5),
-            SpanRecord("mwis", 1, 2, 1, wall_s=2.0, cpu_s=0.5),
-            SpanRecord("round", 2, -1, 0, wall_s=4.0, cpu_s=1.0),
-            SpanRecord("mwis", 3, 4, 1, wall_s=3.0, cpu_s=0.5),
-            SpanRecord("round", 4, -1, 0, wall_s=5.0, cpu_s=1.0),
-        ]
-        recorder = Recorder(metrics=MetricsRegistry(), spans=tracer)
-        assert format_span_tree(recorder).splitlines() == [
-            "  round x2  9.000000s / 2.000000s / 3.000000s",
-            "    mwis x3  6.000000s / 1.500000s / 6.000000s",
-        ]
+    def test_zero_self_time_has_zero_share(self):
+        line = format_span_table([_row("idle", 0.0)]).splitlines()[1]
+        assert line.endswith("0.0%")
 
-    def test_root_self_time_excludes_children(self):
-        recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
-        with recorder.span("root"):
-            with recorder.span("child"):
-                for _ in range(2000):
-                    pass
-        root_line = format_span_tree(recorder).splitlines()[0]
-        times = [
-            float(part.strip().rstrip("s"))
-            for part in root_line.split("  ")[-1].split("/")
-        ]
-        wall, _cpu, self_s = times
-        assert 0.0 <= self_s < wall
-
-    def test_sort_self_puts_most_expensive_sibling_first(self):
-        tree = format_span_tree(_recorder_with_spans(), sort="self")
-        children = [
-            line.strip().split()[0]
-            for line in tree.splitlines()
-            if line.startswith("    ")
-        ]
-        assert children[0] == "slow"
-
-    def test_record_order_is_the_default(self):
-        tree = format_span_tree(_recorder_with_spans())
-        children = [
-            line.strip().split()[0]
-            for line in tree.splitlines()
-            if line.startswith("    ")
-        ]
-        assert children == ["fast", "slow", "leaf"]
-
-    def test_unknown_sort_rejected(self):
-        with pytest.raises(ValueError, match="sort"):
-            format_span_tree(_recorder_with_spans(), sort="wall")
-
-    def test_truncation_marker(self):
-        recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
-        for index in range(8):
-            with recorder.span(f"span{index}"):
-                pass
-        tree = format_span_tree(recorder, max_lines=3)
-        assert "5 more span lines" in tree
-
-    def test_no_spans_renders_empty(self):
-        assert format_span_tree(Recorder()) == ""
+    def test_no_rows_renders_empty(self):
+        assert format_span_table([]) == ""
 
 
 class TestFormatMetricsSummary:
@@ -158,8 +82,17 @@ class TestFormatMetricsSummary:
         text = format_metrics_summary(recorder)
         assert "counters:" in text
         assert "stage1.rounds" in text
-        assert "spans (wall / cpu / self):" in text
 
-    def test_header_names_the_self_column(self):
-        text = format_metrics_summary(_recorder_with_spans())
-        assert "spans (wall / cpu / self):" in text
+    def test_spans_section_is_the_shared_table(self):
+        recorder = _recorder_with_spans()
+        rows = span_table(
+            record.to_event() for record in recorder.spans.records
+        )
+        text = format_metrics_summary(recorder)
+        assert text.endswith("spans:\n" + format_span_table(rows))
+        assert [row["count"] for row in rows if row["name"] == "leaf"] == [2]
+
+    def test_no_spans_no_section(self):
+        recorder = Recorder(metrics=MetricsRegistry())
+        recorder.metrics.counter("stage1.rounds").inc()
+        assert "spans:" not in format_metrics_summary(recorder)

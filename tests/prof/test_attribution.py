@@ -1,74 +1,11 @@
-"""Attribution tables: span self-time, function rows, allocation rows."""
+"""Attribution tables: function rows and allocation rows.
+
+The span table lives with the span schema (``tests/obs/test_spans.py``).
+"""
 
 from __future__ import annotations
 
-from repro.obs.spans import SpanRecord
-from repro.prof import span_table
 from repro.prof.attribution import function_table
-
-
-def _record(name, index, parent, depth, wall, cpu=None):
-    return SpanRecord(
-        name=name,
-        index=index,
-        parent=parent,
-        depth=depth,
-        wall_s=wall,
-        cpu_s=wall if cpu is None else cpu,
-        start_s=0.0,
-    )
-
-
-class TestSpanTable:
-    def test_self_time_subtracts_direct_children_only(self):
-        # grandchild(1.0) < child(3.0) < root(10.0): the root's self
-        # time excludes the child but not the grandchild (which the
-        # child already accounts for).
-        records = [
-            _record("grandchild", 0, 1, 2, 1.0),
-            _record("child", 1, 2, 1, 3.0),
-            _record("root", 2, -1, 0, 10.0),
-        ]
-        rows = {row["name"]: row for row in span_table(records)}
-        assert rows["root"]["self_s"] == 7.0
-        assert rows["child"]["self_s"] == 2.0
-        assert rows["grandchild"]["self_s"] == 1.0
-
-    def test_repeated_spans_aggregate_by_name(self):
-        records = [
-            _record("leaf", 0, 2, 1, 1.0),
-            _record("leaf", 1, 2, 1, 2.0),
-            _record("root", 2, -1, 0, 5.0),
-        ]
-        rows = {row["name"]: row for row in span_table(records)}
-        assert rows["leaf"]["count"] == 2
-        assert rows["leaf"]["wall_s"] == 3.0
-        assert rows["root"]["self_s"] == 2.0
-
-    def test_sorted_by_descending_self_time(self):
-        records = [
-            _record("small", 0, 2, 1, 1.0),
-            _record("big", 1, 2, 1, 6.0),
-            _record("root", 2, -1, 0, 8.0),
-        ]
-        assert [row["name"] for row in span_table(records)] == [
-            "big",
-            "root",
-            "small",
-        ]
-
-    def test_clock_skew_never_goes_negative(self):
-        # Children measured longer than their parent (clock granularity)
-        # must clamp the parent's self time at zero, not below.
-        records = [
-            _record("child", 0, 1, 1, 5.0),
-            _record("root", 1, -1, 0, 4.0),
-        ]
-        rows = {row["name"]: row for row in span_table(records)}
-        assert rows["root"]["self_s"] == 0.0
-
-    def test_empty_records(self):
-        assert span_table([]) == []
 
 
 class TestFunctionTable:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from repro.cli import main
 from repro.obs import MetricsRegistry, Recorder, SpanTracer, use_recorder
+from repro.obs.spans import span_parents
 from repro.prof import load_profile
 from repro.run.session import Session, build_market
 from repro.run.spec import MarketSpec, ProfileSpec, RunSpec
@@ -36,9 +37,11 @@ def test_span_is_a_root_on_the_ambient_recorder():
     recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
     with use_recorder(recorder):
         build_market(MarketSpec(buyers=6, sellers=2, seed=1))
-    child, root = recorder.spans.records
-    assert (root.name, root.depth) == ("market.build", 0)
-    assert (child.name, child.parent) == ("interference.build", root.index)
+    records = recorder.spans.records
+    assert [(r.name, r.depth) for r in records] == [
+        ("interference.build", 1), ("market.build", 0),
+    ]
+    assert span_parents([r.depth for r in records]) == [1, -1]
 
 
 def test_session_lists_interference_build_under_market_build():
@@ -46,5 +49,9 @@ def test_session_lists_interference_build_under_market_build():
     spec = RunSpec(command="solve", market=MarketSpec(buyers=12, sellers=3, seed=2))
     Session(spec, recorder=recorder).run()
     records = recorder.spans.records
-    (build,) = [record for record in records if record.name == "interference.build"]
-    assert records[build.parent].name == "market.build"
+    parents = span_parents([record.depth for record in records])
+    (build,) = [
+        index for index, record in enumerate(records)
+        if record.name == "interference.build"
+    ]
+    assert records[parents[build]].name == "market.build"

@@ -184,6 +184,33 @@ def test_misspelt_policy_fails_the_same_everywhere(tmp_path, capsys):
                 assert f"error: {info.value}" in captured.err
                 assert captured.out == ""
         assert not run_dir.exists()  # refused before a run directory exists
+    # A solve spec is checked against the solver it names: an unknown
+    # option or distributed policy fails the dry run as it fails the run.
+    for flags, bad in (
+        (["--solver", "distributed", "--config", "policy=adaptve"],
+         "'adaptve'"),
+        (["--solver", "greedy", "--config", "foo=1"], "['foo']"),
+    ):
+        argv = ["solve", "--buyers", "6", "--sellers", "2", *flags]
+        for dry_run in ([], ["--dry-run"]):
+            assert main(argv + dry_run) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert bad in captured.err
+        name, option = flags[1], flags[3].split("=")
+        spec = RunSpec(
+            command="solve",
+            market=MarketSpec(buyers=6, sellers=2),
+            engine=EngineSpec(name=name, options={option[0]: option[1]}),
+        )
+        with pytest.raises(SpecError, match=re.escape(bad)):
+            Session(spec)
+        path = _write(tmp_path, spec, f"solve-{name}.json")
+        for argv in (["run", path], ["run", path, "--dry-run"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and bad in captured.err
     # Flags that make a spec `repro run` refuses fail their dry run the
     # same way: exit 2, the same error, nothing on stdout, no run directory.
     run_dir = tmp_path / "dd"

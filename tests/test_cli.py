@@ -552,7 +552,43 @@ class TestProfileCommands:
         for line in out.strip().splitlines():
             stack, _, value = line.rpartition(" ")
             assert stack and value.isdigit(), line
-        assert any("stage1.mwis" in line for line in out.splitlines())
+        # The trace's span events nest: stacks run from the root down.
+        assert any(
+            line.startswith("two_stage;stage1;stage1.mwis ")
+            for line in out.splitlines()
+        )
+
+    def test_metrics_trace_and_profile_print_one_span_table(
+        self, tmp_path, capsys
+    ):
+        trace, profile = str(tmp_path / "t.jsonl"), str(tmp_path / "p")
+        assert main(["toy", "--trace-out", trace, "--metrics",
+                     "--profile-out", profile]) == 0
+        metrics_out = capsys.readouterr().out
+        assert main(["trace", "summarize", trace]) == 0
+        summary_out = capsys.readouterr().out
+        assert main(["profile", "top", profile]) == 0
+        top_out = capsys.readouterr().out
+
+        def span_table_text(text):
+            lines = text.splitlines()
+            start = next(
+                i for i, line in enumerate(lines) if line.startswith("span ")
+            )
+            end = start + 1
+            while end < len(lines) and lines[end].endswith("%"):
+                end += 1
+            return "\n".join(lines[start:end])
+
+        table = span_table_text(top_out)
+        assert table == top_out.rstrip("\n")
+        assert span_table_text(metrics_out) == table
+        assert span_table_text(summary_out) == table
+        names = [line.split()[0] for line in table.splitlines()[1:]]
+        assert sorted(names) == sorted([
+            "market.build", "two_stage", "stage1", "stage1.mwis", "stage2",
+            "stage2.transfer", "stage2.invitation",
+        ])
 
     def test_export_speedscope_is_loadable(self, tmp_path, capsys):
         trace = tmp_path / "toy.jsonl"

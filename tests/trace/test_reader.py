@@ -182,16 +182,25 @@ class TestSummaryFromSyntheticEvents:
         assert summary.per_seller[1]["rejected"] == 1
 
     def test_mwis_share_from_spans(self):
+        # Finish order, as traces store spans: the child before its root.
         events = [
-            {"event": "span", "name": "two_stage", "depth": 0, "parent": -1,
-             "wall_s": 2.0, "cpu_s": 2.0},
-            {"event": "span", "name": "stage1.mwis", "depth": 1, "parent": 0,
+            {"event": "span", "name": "stage1.mwis", "depth": 1,
              "wall_s": 0.5, "cpu_s": 0.5},
+            {"event": "span", "name": "two_stage", "depth": 0,
+             "wall_s": 2.0, "cpu_s": 2.0},
         ]
         summary = TraceReader(events).summary()
-        assert summary.mwis_wall_s == pytest.approx(0.5)
-        assert summary.total_wall_s == pytest.approx(2.0)
-        assert summary.mwis_share == pytest.approx(0.25)
+        assert [row["name"] for row in summary.spans] == [
+            "two_stage", "stage1.mwis",
+        ]
+        mwis = [line for line in format_summary(summary).splitlines()
+                if line.startswith("stage1.mwis ")]
+        assert [line.split()[-1] for line in mwis] == ["25.0%"]
+
+    def test_trace_without_spans_prints_no_table(self):
+        summary = TraceReader.from_file(GOLDEN_PATH).summary()
+        assert summary.spans == ()
+        assert "spans:" not in format_summary(summary)
 
     def test_json_round_trip_of_summary_fields(self):
         # Every summary field must be JSON-safe (CLI prints it; exporters
