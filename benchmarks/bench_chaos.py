@@ -168,7 +168,7 @@ def test_degraded_matching_grows_with_deadline(benchmark):
             market,
             policy=default_policy(),
             fault_schedule=schedule,
-            deadline_slots=100,
+            max_slots=100,
             on_timeout="degrade",
         )
         assert run.status == "degraded"
@@ -216,7 +216,7 @@ def test_degraded_matching_grows_with_deadline(benchmark):
                     )
                 ]
             ),
-            deadline_slots=100,
+            max_slots=100,
             on_timeout="degrade",
         ),
         rounds=3,

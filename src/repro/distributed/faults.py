@@ -22,10 +22,9 @@ module supplies the declarative vocabulary:
   restarts) and :class:`PartitionedNetwork` (partitions and message
   faults).
 
-:class:`PartitionedNetwork` extends the per-message ``Network.route``
-interface with sender/destination visibility (``route_message``); the
-kernel always routes through ``route_message``, so existing networks that
-only override ``route`` keep working unchanged.
+:class:`PartitionedNetwork` is a ``Network`` like any other: the kernel
+hands ``Network.route`` each message with its sender and destination,
+which the wrapper needs and the models it wraps ignore.
 """
 
 from __future__ import annotations
@@ -395,10 +394,9 @@ class PartitionedNetwork(Network):
     """Network wrapper enforcing a schedule's partitions and message faults.
 
     Surviving messages are routed by ``base`` (reliable by default).  The
-    wrapper needs to see each message's endpoints, so it implements the
-    extended :meth:`Network.route_message` interface; the kernel always
-    routes through ``route_message``, making the wrapper transparent to
-    agents.  Partition and targeted-type drops are counted separately
+    wrapper reads each message's endpoints and type, which
+    :meth:`Network.route` receives, and is transparent to agents.
+    Partition and targeted-type drops are counted separately
     (:attr:`partition_drops` / :attr:`targeted_drops`) on top of the
     kernel's aggregate ``messages_dropped``.
     """
@@ -443,13 +441,7 @@ class PartitionedNetwork(Network):
         self._partition_drops = int(state["partition_drops"])
         self._targeted_drops = int(state["targeted_drops"])
 
-    def route(self, now: int, rng: np.random.Generator) -> Optional[int]:
-        raise SimulationError(
-            "PartitionedNetwork needs sender/destination visibility; "
-            "route messages through route_message()"
-        )
-
-    def route_message(
+    def route(
         self,
         now: int,
         rng: np.random.Generator,
@@ -464,7 +456,7 @@ class PartitionedNetwork(Network):
         if fault is not None and fault.action == "drop":
             self._targeted_drops += 1
             return None
-        verdict = self._base.route_message(now, rng, sender, destination, message)
+        verdict = self._base.route(now, rng, sender, destination, message)
         if verdict is None:
             return None
         if fault is not None:  # action == "delay"

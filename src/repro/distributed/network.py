@@ -26,18 +26,14 @@ __all__ = ["Network", "ReliableNetwork", "DelayedNetwork", "LossyNetwork"]
 class Network:
     """Delivery-model interface.
 
-    :meth:`route` is called once per message and returns the delivery slot,
-    or ``None`` to drop the message.  Models that need to see *which*
-    message is travelling between *whom* (partitions, targeted drops)
-    override :meth:`route_message` instead -- the kernel always routes
-    through it, and the default implementation delegates to :meth:`route`,
-    so endpoint-oblivious models keep their two-argument interface.
+    The kernel calls :meth:`route` once per message, with its endpoints,
+    and gets back the delivery slot, or ``None`` to drop the message.
+    The models here ignore the endpoints; partitions and targeted message
+    faults (:class:`~repro.distributed.faults.PartitionedNetwork`) read
+    them.
     """
 
-    def route(self, now: int, rng: np.random.Generator) -> Optional[int]:
-        raise NotImplementedError
-
-    def route_message(
+    def route(
         self,
         now: int,
         rng: np.random.Generator,
@@ -45,8 +41,7 @@ class Network:
         destination: str,
         message: "Message",
     ) -> Optional[int]:
-        """Endpoint-aware routing hook; defaults to :meth:`route`."""
-        return self.route(now, rng)
+        raise NotImplementedError
 
 
 class ReliableNetwork(Network):
@@ -57,7 +52,7 @@ class ReliableNetwork(Network):
     the buyer in slot ``t+1`` -- one paper round per slot.
     """
 
-    def route(self, now: int, rng: np.random.Generator) -> Optional[int]:
+    def route(self, now, rng, sender, destination, message) -> Optional[int]:
         return now
 
 
@@ -80,7 +75,7 @@ class DelayedNetwork(Network):
         self._min = min_delay
         self._max = max_delay
 
-    def route(self, now: int, rng: np.random.Generator) -> Optional[int]:
+    def route(self, now, rng, sender, destination, message) -> Optional[int]:
         if self._min == self._max:
             return now + self._min
         return now + int(rng.integers(self._min, self._max + 1))
@@ -104,7 +99,7 @@ class LossyNetwork(Network):
         self._loss_rate = loss_rate
         self._base = base if base is not None else ReliableNetwork()
 
-    def route(self, now: int, rng: np.random.Generator) -> Optional[int]:
+    def route(self, now, rng, sender, destination, message) -> Optional[int]:
         if rng.random() < self._loss_rate:
             return None
-        return self._base.route(now, rng)
+        return self._base.route(now, rng, sender, destination, message)

@@ -2,10 +2,11 @@
 
 :func:`run_distributed_matching` wires one :class:`BuyerAgent` per virtual
 buyer and one :class:`SellerAgent` per channel into the time-slotted
-kernel, runs to quiescence, and extracts the final matching from the
-agents' local views -- cross-checking that every buyer's belief about her
-seller agrees with that seller's coalition (any divergence is a protocol
-bug and raises).
+kernel, runs to quiescence or to its one slot bound (``max_slots``, with
+``on_timeout`` saying whether hitting it raises or degrades), and
+extracts the final matching from the agents' local views.  The sellers'
+waitlists decide; on a fault-free run that quiesced every buyer's belief
+must agree with them (any divergence is a protocol bug and raises).
 
 The returned :class:`DistributedResult` carries slot and message counts so
 the transition-rule benchmark can compare the default rule's ``MN + M + N``
@@ -16,7 +17,7 @@ slot cost against the adaptive rules' much shorter runs (the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.market import SpectrumMarket
 from repro.core.matching import Matching
@@ -36,11 +37,10 @@ __all__ = [
     "DistributedSimulation",
     "build_distributed_simulation",
     "run_distributed_matching",
-    "slot_budget",
 ]
 
-#: Slot bound of a distributed run that sets neither
-#: ``faults.deadline_slots`` nor ``engine.options.max_slots``.
+#: Slot bound of a distributed run that names none (for a spec: no
+#: ``faults.deadline_slots``).
 DEFAULT_MAX_SLOTS = 1_000_000
 
 
@@ -60,7 +60,7 @@ class DistributedResult:
         Final welfare under the market's utilities.
     status:
         ``"converged"`` -- the protocol quiesced and the matching is its
-        agreed outcome.  ``"degraded"`` -- the run hit its deadline under
+        agreed outcome.  ``"degraded"`` -- the run hit its slot bound under
         ``on_timeout="degrade"`` and the matching is the best
         interference-free *partial* matching salvageable from seller
         state (safety invariants validated; optimality and two-sided
@@ -94,12 +94,13 @@ class DistributedResult:
     view_divergences: int = 0
 
 
-def _extract_reconciled(
+def _extract_matching(
     market: SpectrumMarket,
     buyers: List[BuyerAgent],
     sellers: List["SellerAgent"],
+    strict: bool,
 ) -> Tuple[Matching, int]:
-    """Best-effort matching from possibly-inconsistent agent views.
+    """The matching of the agents' final views and its divergence count.
 
     Faults can leave the two sides' local views divergent: a crashed
     buyer's ``Leave`` may never have reached her old seller, a partition
@@ -108,6 +109,8 @@ def _extract_reconciled(
     one buyer, the buyer's own belief breaks the tie (she knows where she
     last moved), falling back to her highest-utility claimant.  Buyers no
     seller claims stay unmatched.  Every resolved disagreement is counted.
+    On a ``strict`` run (fault-free and quiesced) the views must agree:
+    the first divergent buyer raises :class:`~repro.errors.ProtocolError`.
 
     Safety survives reconciliation by construction: each seller's waitlist
     is kept interference-free by her own commit checks, and dropping
@@ -123,19 +126,25 @@ def _extract_reconciled(
         j = buyer_agent.buyer
         belief = buyer_agent.current_channel
         claiming = claims.get(j, [])
+        chosen = None
         if belief is not None and belief in claiming:
             chosen = belief
-            divergences += len(claiming) - 1
+            diverged = len(claiming) - 1
         elif claiming:
             chosen = max(
                 claiming, key=lambda i: (float(market.utilities[j, i]), -i)
             )
-            divergences += 1
+            diverged = 1
         else:
-            if belief is not None:
-                divergences += 1
-            continue
-        matching.match(j, chosen)
+            diverged = int(belief is not None)
+        if diverged and strict:
+            raise ProtocolError(
+                f"buyer {j} believes she is matched to {belief} but "
+                f"sellers record {claiming}"
+            )
+        divergences += diverged
+        if chosen is not None:
+            matching.match(j, chosen)
     return matching, divergences
 
 
@@ -160,8 +169,12 @@ class DistributedSimulation:
     seed: int
     reliable_transport: bool
     warm_start: bool
-    #: Strict two-sided extraction applies only to fault-free runs.
+    #: A fault-free run that quiesces must end with agreeing views.
     fault_free: bool
+    #: The slot bound and the kernel's timeout mode (``"stop"`` for a
+    #: run that degrades, else ``"raise"``).
+    max_slots: int
+    timeout_mode: str
 
     def emit_run_start(self) -> None:
         """Emit the ``distributed.run_start`` lifecycle event."""
@@ -175,36 +188,31 @@ class DistributedSimulation:
                 reliable_transport=self.reliable_transport,
             )
 
+    def run(
+        self, on_slot: Optional[Callable[[TimeSlottedSimulator], None]] = None
+    ) -> int:
+        """Run the kernel to quiescence or to the slot bound; return the
+        slot count :meth:`finalize` takes."""
+        return self.simulator.run(
+            max_slots=self.max_slots,
+            on_timeout=self.timeout_mode,
+            on_slot=on_slot,
+        )
+
     def finalize(self, slots: int) -> DistributedResult:
         """Extract the result and emit ``distributed.run_end``.
 
-        ``slots`` is the kernel's return value from ``run()``.  Fault-free
-        converged runs use the strict historical extraction (buyer and
-        seller views must agree exactly); fault or timed-out runs use the
-        reconciling extraction.  Safety is validated on every path.
+        ``slots`` is the return value of :meth:`run`.  Safety is
+        validated on every path.
         """
         market = self.market
         simulator = self.simulator
-        divergences = 0
-        if self.fault_free and not simulator.timed_out:
-            # Fault-free convergence: the strict historical path, unchanged.
-            matching = Matching(market.num_channels, market.num_buyers)
-            for seller in self.sellers:
-                for buyer in sorted(seller.waitlist):
-                    matching.match(buyer, seller.channel)
-            # Cross-check both sides' local views.
-            for buyer_agent in self.buyers:
-                believed = buyer_agent.current_channel
-                actual = matching.channel_of(buyer_agent.buyer)
-                if believed != actual:
-                    raise ProtocolError(
-                        f"buyer {buyer_agent.buyer} believes she is matched "
-                        f"to {believed} but sellers record {actual}"
-                    )
-        else:
-            matching, divergences = _extract_reconciled(
-                market, self.buyers, self.sellers
-            )
+        matching, divergences = _extract_matching(
+            market,
+            self.buyers,
+            self.sellers,
+            strict=self.fault_free and not simulator.timed_out,
+        )
         require_interference_free(
             market,
             matching,
@@ -258,20 +266,26 @@ def build_distributed_simulation(
     network: Optional[Network] = None,
     seed: int = 0,
     reliable_transport: bool = False,
-    retransmit_interval: int = 4,
     initial_matching: Optional[Matching] = None,
     recorder: Optional[Recorder] = None,
     fault_schedule: Optional[FaultSchedule] = None,
+    max_slots: int = DEFAULT_MAX_SLOTS,
+    on_timeout: str = "raise",
 ) -> DistributedSimulation:
     """Wire agents and kernel for a distributed run without running it.
 
-    Construction is deterministic in its arguments, which is what makes
+    Takes the arguments of :func:`run_distributed_matching`.  Construction
+    is deterministic in its arguments, which is what makes
     checkpoint/resume sound: the durable runtime rebuilds the identical
     population from the run manifest, restores the kernel snapshot into
     it, and continues.  Does *not* emit ``distributed.run_start`` -- call
     :meth:`DistributedSimulation.emit_run_start` for fresh runs (resumed
     runs already carry the original event in their trace).
     """
+    if on_timeout not in ("raise", "degrade"):
+        raise ProtocolError(
+            f"on_timeout must be 'raise' or 'degrade', got {on_timeout!r}"
+        )
     if policy is None:
         policy = default_policy()
     rec = resolve_recorder(recorder)
@@ -314,7 +328,7 @@ def build_distributed_simulation(
     if reliable_transport:
         from repro.distributed.transport import wrap_reliable
 
-        agents = wrap_reliable(agents, retransmit_interval)
+        agents = wrap_reliable(agents)
     simulator = TimeSlottedSimulator(
         agents=agents,
         network=network,
@@ -332,24 +346,9 @@ def build_distributed_simulation(
         reliable_transport=reliable_transport,
         warm_start=initial_matching is not None,
         fault_free=fault_schedule is None,
+        max_slots=int(max_slots),
+        timeout_mode="stop" if on_timeout == "degrade" else "raise",
     )
-
-
-def slot_budget(
-    deadline_slots: Optional[int], max_slots: int, on_timeout: str
-) -> Tuple[int, str]:
-    """The simulator's slot bound and timeout mode.
-
-    The bound is ``deadline_slots`` when set, else ``max_slots``.
-    ``on_timeout="degrade"`` maps to the kernel's ``"stop"`` (return the
-    best partial matching), ``"raise"`` to ``"raise"``.
-    """
-    if on_timeout not in ("raise", "degrade"):
-        raise ProtocolError(
-            f"on_timeout must be 'raise' or 'degrade', got {on_timeout!r}"
-        )
-    bound = deadline_slots if deadline_slots is not None else max_slots
-    return int(bound), ("stop" if on_timeout == "degrade" else "raise")
 
 
 def run_distributed_matching(
@@ -359,11 +358,9 @@ def run_distributed_matching(
     seed: int = 0,
     max_slots: int = DEFAULT_MAX_SLOTS,
     reliable_transport: bool = False,
-    retransmit_interval: int = 4,
     initial_matching: Optional[Matching] = None,
     recorder: Optional[Recorder] = None,
     fault_schedule: Optional[FaultSchedule] = None,
-    deadline_slots: Optional[int] = None,
     on_timeout: str = "raise",
 ) -> DistributedResult:
     """Run the full message-level protocol on ``market``.
@@ -380,15 +377,13 @@ def run_distributed_matching(
         Seed for the simulation RNG (only consulted by randomised
         networks; the protocol itself is deterministic).
     max_slots:
-        Safety bound handed to the kernel.
+        The run's one slot bound; ``on_timeout`` says what hitting it
+        does.
     reliable_transport:
         Wrap every agent in the ARQ layer of
         :mod:`repro.distributed.transport`, making the protocol live over
         lossy networks (message counters then include transport frames
         and acknowledgements).
-    retransmit_interval:
-        ARQ retransmission period in slots (ignored unless
-        ``reliable_transport``).
     initial_matching:
         Warm start (dynamic re-matching, see :mod:`repro.dynamic`): every
         agent begins directly in Stage II with this interference-free
@@ -406,15 +401,13 @@ def run_distributed_matching(
         agents, partition the population, drop or delay targeted message
         types.  Partitions and message faults are enforced by wrapping
         ``network`` in a :class:`~repro.distributed.faults.
-        PartitionedNetwork` automatically.  Fault runs use a reconciling
-        matching extraction (seller waitlists are authoritative; buyer
-        beliefs break ties) instead of the strict two-sided cross-check,
-        because faults can legitimately leave views divergent.
-    deadline_slots:
-        Slot budget for graceful degradation; defaults to ``max_slots``.
+        PartitionedNetwork` automatically.  Faults can legitimately leave
+        views divergent, so a fault run counts the divergences it
+        reconciles (seller waitlists are authoritative; buyer beliefs
+        break ties) where a fault-free one raises.
     on_timeout:
-        ``"raise"`` (default): exceeding the budget raises
-        :class:`~repro.errors.SimulationError`, as before.  ``"degrade"``:
+        ``"raise"`` (default): reaching ``max_slots`` without quiescence
+        raises :class:`~repro.errors.SimulationError`.  ``"degrade"``:
         return a :class:`DistributedResult` with ``status="degraded"``
         carrying the best interference-free partial matching salvageable
         from seller state -- for markets that must produce *some* safe
@@ -428,26 +421,27 @@ def run_distributed_matching(
     Raises
     ------
     ProtocolError
-        If buyers' and sellers' final local views disagree on a fault-free
-        run (would indicate a protocol bug) or the final matching violates
-        interference (safety is validated on every path, degraded
-        included).
+        If ``on_timeout`` is neither ``"raise"`` nor ``"degrade"``, if
+        buyers' and sellers' final local views disagree on a fault-free
+        run that quiesced (would indicate a protocol bug), or if the final
+        matching violates interference (safety is validated on every
+        path, degraded included).
     SimulationError
-        If the run fails to quiesce within its slot budget and
+        If the run fails to quiesce within ``max_slots`` and
         ``on_timeout="raise"`` (e.g. under a lossy network without the
         ARQ transport, which the bare protocol does not tolerate).
     """
-    bound, mode = slot_budget(deadline_slots, max_slots, on_timeout)
     sim = build_distributed_simulation(
         market,
         policy=policy,
         network=network,
         seed=seed,
         reliable_transport=reliable_transport,
-        retransmit_interval=retransmit_interval,
         initial_matching=initial_matching,
         recorder=recorder,
         fault_schedule=fault_schedule,
+        max_slots=max_slots,
+        on_timeout=on_timeout,
     )
     sim.emit_run_start()
-    return sim.finalize(sim.simulator.run(max_slots=bound, on_timeout=mode))
+    return sim.finalize(sim.run())

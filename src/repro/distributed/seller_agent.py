@@ -141,6 +141,9 @@ class SellerAgent(Agent):
             self._stage1(proposals, applications, ctx)
         elif self.phase == _PHASE1:
             self._phase1(proposals, applications, ctx)
+            # Phase 1 answered this slot's messages; a switch to Phase 2
+            # within the slot only sends its first invitation.
+            proposals = applications = []
         if self.phase == _PHASE2:
             self._phase2(proposals, applications, ctx)
 

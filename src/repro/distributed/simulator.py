@@ -458,7 +458,7 @@ class TimeSlottedSimulator:
             if tracker is not None:
                 self._emit_msg_dropped(msg_id, "crashed_destination")
             return msg_id if tracker is not None else None
-        verdict = self._network.route_message(
+        verdict = self._network.route(
             self._now, self._rng, message.sender, destination, message
         )
         if verdict is None:

@@ -22,7 +22,7 @@ from repro.core.market import SpectrumMarket
 from repro.core.matching import Matching
 from repro.core.two_stage import run_two_stage
 from repro.auction.mcafee import mcafee_double_auction
-from repro.distributed.protocol import run_distributed_matching
+from repro.distributed.protocol import DEFAULT_MAX_SLOTS, run_distributed_matching
 from repro.distributed.transition import NAMED_POLICIES
 from repro.engine.protocol import Capability
 from repro.engine.registry import register_solver
@@ -320,9 +320,7 @@ class DistributedSolver(SolverAdapter):
             "seed",
             "max_slots",
             "reliable_transport",
-            "retransmit_interval",
             "fault_schedule",
-            "deadline_slots",
             "on_timeout",
         }
     )
@@ -345,12 +343,10 @@ class DistributedSolver(SolverAdapter):
             policy=policy,
             network=config.get("network"),
             seed=int(config.get("seed", 0)),
-            max_slots=int(config.get("max_slots", 1_000_000)),
+            max_slots=int(config.get("max_slots", DEFAULT_MAX_SLOTS)),
             reliable_transport=bool(config.get("reliable_transport", False)),
-            retransmit_interval=int(config.get("retransmit_interval", 4)),
             recorder=recorder,
             fault_schedule=config.get("fault_schedule"),
-            deadline_slots=config.get("deadline_slots"),
             on_timeout=str(config.get("on_timeout", "raise")),
         )
         metadata = {

@@ -5,10 +5,9 @@ run`` and ``repro profile run`` included) and the durable runtime, fresh
 and resumed -- executes through this module:
 
 * the ``build_*`` functions (plus
-  :func:`~repro.distributed.protocol.slot_budget` and
   :meth:`~repro.run.spec.FaultSpec.build_schedule`) are the only
-  spec-to-engine assembly: market, recorder, transition policy, network,
-  slot bound and dynamic generator;
+  spec-to-engine assembly: market, recorder, transition policy, the
+  arguments of a §IV run and dynamic generator;
 * :class:`RunLifecycle` is the one run lifecycle -- SLO engine,
   telemetry server, profiler, final SLO verdict, ``serve_hold``,
   ``metrics_out`` -- shared by :meth:`Session.run` and the CLI;
@@ -56,7 +55,6 @@ from repro.obs import (
 from repro.obs.recorder import get_recorder
 from repro.run.spec import (
     POLICIES,
-    FaultSpec,
     MarketSpec,
     ProfileSpec,
     RunSpec,
@@ -72,7 +70,7 @@ __all__ = [
     "build_slo_engine",
     "start_telemetry_server",
     "build_policy",
-    "build_network",
+    "build_distributed_args",
     "build_generator",
 ]
 
@@ -130,19 +128,32 @@ def build_policy(name: str):
     return NAMED_POLICIES[name]()
 
 
-def build_network(faults: FaultSpec):
-    """The network and ARQ flag of a distributed run.
+def build_distributed_args(spec: RunSpec, policy=None) -> Dict[str, Any]:
+    """The keywords a ``distributed`` or ``chaos`` spec passes to
+    ``run_distributed_matching`` or ``build_distributed_simulation``.
 
-    Message loss (``faults.loss > 0``) means a lossy network behind the
-    reliable (ARQ) transport; otherwise the kernel's default network
-    without it.
+    ``policy`` overrides ``engine.options.policy``.  Message loss means a
+    lossy network behind the reliable (ARQ) transport.  The slot bound is
+    ``faults.deadline_slots``, else ``DEFAULT_MAX_SLOTS``.
     """
-    loss = float(faults.loss)
-    if loss > 0.0:
+    faults = spec.faults
+    network, reliable = None, False
+    if faults.loss > 0.0:
         from repro.distributed.network import LossyNetwork
 
-        return LossyNetwork(loss), True
-    return None, False
+        network, reliable = LossyNetwork(float(faults.loss)), True
+    if policy is None:
+        policy = build_policy(spec.engine.options.get("policy", "default"))
+    bound = faults.deadline_slots
+    return dict(
+        policy=policy,
+        network=network,
+        seed=spec.market.seed,
+        reliable_transport=reliable,
+        fault_schedule=faults.build_schedule(),
+        max_slots=DEFAULT_MAX_SLOTS if bound is None else bound,
+        on_timeout=faults.on_timeout,
+    )
 
 
 def build_generator(market: MarketSpec):
@@ -383,9 +394,10 @@ class Session:
     :class:`~repro.errors.SpecError`.  After :meth:`run`,
     :attr:`lifecycle` carries the SLO verdict.
 
-    Keyword overrides (``recorder``, ``market``, ``policy``, ``network``,
-    ``initial_matching``, ``fault_schedule``) let advanced callers swap
-    in pre-built components; everything omitted is derived from the spec.
+    Keyword overrides (``recorder``, ``market``, ``policy``) swap in
+    pre-built components, as the CLI's ``distributed`` comparison does to
+    run each policy on one market and one trace; everything omitted is
+    derived from the spec.
     """
 
     def __init__(
@@ -395,17 +407,11 @@ class Session:
         recorder: Optional[Recorder] = None,
         market=None,
         policy=None,
-        network=None,
-        initial_matching=None,
-        fault_schedule=None,
     ) -> None:
         spec.validate()
         self.spec = spec
         self._market = market
         self._policy = policy
-        self._network = network
-        self._initial_matching = initial_matching
-        self._fault_schedule = fault_schedule
         self._owns_recorder = recorder is None
         if recorder is None:
             recorder = build_recorder(
@@ -502,30 +508,10 @@ class Session:
         return run_durable(self.spec, recorder=self.recorder)
 
     def _run_distributed(self):
-        spec = self.spec
-        if self._network is not None:
-            network, reliable = self._network, True
-        else:
-            network, reliable = build_network(spec.faults)
-        schedule = (
-            self._fault_schedule
-            if self._fault_schedule is not None
-            else spec.faults.build_schedule()
-        )
         return run_distributed_matching(
             self.market,
-            policy=self.policy,
-            network=network,
-            seed=spec.market.seed,
-            max_slots=int(
-                spec.engine.options.get("max_slots", DEFAULT_MAX_SLOTS)
-            ),
-            reliable_transport=reliable,
-            initial_matching=self._initial_matching,
             recorder=self.recorder,
-            fault_schedule=schedule,
-            deadline_slots=spec.faults.deadline_slots,
-            on_timeout=spec.faults.on_timeout,
+            **build_distributed_args(self.spec, self.policy),
         )
 
     def _run_swaps(self):

@@ -84,6 +84,18 @@ RUN_COMMANDS = (
 #: command expands into one run per policy.
 POLICIES = tuple(NAMED_POLICIES)
 
+#: The ``engine.options`` keys each command reads; a command not listed
+#: reads none.  A ``solve`` spec's options are its solver's config,
+#: checked by the solver (``check_config``).
+_FIGURE_OPTIONS = ("panel", "repetitions", "csv", "json_out")
+COMMAND_OPTIONS = {
+    "fig6": _FIGURE_OPTIONS,
+    "fig7": _FIGURE_OPTIONS,
+    "fig8": _FIGURE_OPTIONS,
+    "distributed": ("policy",),
+    "chaos": ("policy",),
+}
+
 _SCENARIOS = ("paper", "toy", "counterexample")
 _STRATEGIES = ("warm", "cold", "both")
 _SLO_POLICIES = ("warn", "fail")
@@ -283,9 +295,10 @@ class EngineSpec(_Section, section="engine"):
     ``name`` is a solver-registry name (``two_stage``, ``greedy``,
     ``branch_and_bound``, ...) or a run-family name the Session layer
     understands directly (``distributed``, ``dynamic``, ``swaps``,
-    ``figure``, ``report``).  ``options`` is the engine-specific config
-    mapping, passed through verbatim (the same dict a registry solver's
-    ``solve(config=...)`` receives).
+    ``figure``, ``report``).  ``options`` holds the keys the command
+    reads (:data:`COMMAND_OPTIONS`) or, for ``solve``, the config the
+    solver's ``solve(config=...)`` receives; :meth:`RunSpec.validate`
+    refuses any other key.
     """
 
     name: str = "two_stage"
@@ -562,6 +575,16 @@ class RunSpec(_Section, section="spec"):
             )
         if self.command == "solve":
             self._validate_solver()
+        else:
+            accepted = COMMAND_OPTIONS.get(self.command, ())
+            unknown = sorted(set(self.engine.options) - set(accepted))
+            if unknown:
+                raise SpecError(
+                    "engine.options: unknown option(s) "
+                    + ", ".join(repr(key) for key in unknown)
+                    + f" for command {self.command!r}; accepted: "
+                    + (", ".join(accepted) or "none")
+                )
         if self.command == "dynamic":
             if self.market.workload is None:
                 raise SpecError(

@@ -42,12 +42,8 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.distributed.protocol import (
-    DEFAULT_MAX_SLOTS,
-    build_distributed_simulation,
-    slot_budget,
-)
-from repro.errors import CheckpointError
+from repro.distributed.protocol import build_distributed_simulation
+from repro.errors import CheckpointError, SpecError
 from repro.obs.events import EventSink, JsonlEventSink
 from repro.obs.manifest import build_manifest
 from repro.obs.recorder import (
@@ -57,10 +53,9 @@ from repro.obs.recorder import (
     use_recorder,
 )
 from repro.run.session import (
+    build_distributed_args,
     build_generator,
     build_market,
-    build_network,
-    build_policy,
 )
 from repro.run.spec import (
     DurabilitySpec,
@@ -82,7 +77,9 @@ def spec_from_store(store: CheckpointStore) -> RunSpec:
 
     The stored config is the spec's
     :meth:`~repro.run.spec.RunSpec.durable_identity`, which every durable
-    run writes; a config of any other shape is refused with a
+    run writes; a config of any other shape, or a spec that
+    :meth:`~repro.run.spec.RunSpec.validate` refuses (say, an engine
+    option its command does not read), is refused with a
     :class:`~repro.errors.CheckpointError` naming the manifest.  The
     market seed is always the manifest's.
     """
@@ -99,16 +96,24 @@ def spec_from_store(store: CheckpointStore) -> RunSpec:
             f"(config lacks {', '.join(missing)}); this build cannot "
             f"rebuild the run"
         )
-    market = MarketSpec.from_dict(config["market"])
-    return RunSpec(
-        command=config["command"],
-        market=dataclasses.replace(market, seed=store.seed),
-        engine=EngineSpec.from_dict(config["engine"]),
-        faults=FaultSpec.from_dict(config["faults"]),
-        durability=DurabilitySpec(
-            checkpoint_every=int(config["checkpoint_every"])
-        ),
-    )
+    try:
+        market = MarketSpec.from_dict(config["market"])
+        spec = RunSpec(
+            command=config["command"],
+            market=dataclasses.replace(market, seed=store.seed),
+            engine=EngineSpec.from_dict(config["engine"]),
+            faults=FaultSpec.from_dict(config["faults"]),
+            durability=DurabilitySpec(
+                checkpoint_every=int(config["checkpoint_every"])
+            ),
+        )
+        spec.validate()
+    except SpecError as exc:
+        raise CheckpointError(
+            f"run manifest {store.manifest_path} holds a spec this build "
+            f"refuses: {exc}"
+        ) from None
+    return spec
 
 
 class _TeeSink(EventSink):
@@ -307,23 +312,16 @@ def _drive_dynamic(run: _DurableRun, generator, matcher) -> Dict[str, Any]:
 # Distributed chaos (slot-stream) runs
 # ----------------------------------------------------------------------
 def _build_chaos_simulation(spec: RunSpec, recorder: Recorder):
-    network, reliable = build_network(spec.faults)
     return build_distributed_simulation(
         build_market(spec.market),
-        policy=build_policy(spec.engine.options.get("policy", "default")),
-        network=network,
-        seed=spec.market.seed,
-        reliable_transport=reliable,
         recorder=recorder,
-        fault_schedule=spec.faults.build_schedule(),
+        **build_distributed_args(spec),
     )
 
 
 def _drive_chaos(run: _DurableRun, sim) -> Dict[str, Any]:
     """Run the simulator to quiescence under WAL protection."""
     store = run.store
-    spec = run.spec
-    simulator = sim.simulator
 
     def on_slot(s) -> None:
         run.commit_record(
@@ -340,12 +338,7 @@ def _drive_chaos(run: _DurableRun, sim) -> Dict[str, Any]:
         run.maybe_checkpoint(s.snapshot_state, codec="pickle")
         run.maybe_stall()
 
-    bound, mode = slot_budget(
-        spec.faults.deadline_slots,
-        int(spec.engine.options.get("max_slots", DEFAULT_MAX_SLOTS)),
-        spec.faults.on_timeout,
-    )
-    slots = simulator.run(max_slots=bound, on_timeout=mode, on_slot=on_slot)
+    slots = sim.run(on_slot=on_slot)
     if run.verify_tail:
         raise CheckpointError(
             f"WAL holds records past quiescence: indices "
@@ -389,8 +382,11 @@ def run_durable(
     whose manifest stores :meth:`~repro.run.spec.RunSpec.durable_identity`
     under the store kind ``dynamic`` (the ``dynamic`` command) or
     ``chaos`` (the ``distributed`` and ``chaos`` commands).  ``recorder``
-    is the ambient recorder the run's events are tee'd into.
+    is the ambient recorder the run's events are tee'd into.  A spec
+    :meth:`~repro.run.spec.RunSpec.validate` refuses raises its
+    :class:`~repro.errors.SpecError` before the directory is made.
     """
+    spec.validate()
     store = CheckpointStore.create(
         spec.durability.checkpoint_dir,
         kind="dynamic" if spec.command == "dynamic" else "chaos",

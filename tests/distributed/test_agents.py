@@ -430,6 +430,33 @@ class TestSellerStageTwo:
         )
         assert seller.waitlist == {2}
 
+    def test_switch_to_phase_two_handles_each_message_once(self):
+        """When Phase 1 ends within a step, Phase 2 only sends its first
+        invitation: one verdict and one invitation-list entry per
+        application, one decline per late proposal."""
+        utilities = np.array([[1.0], [2.0], [5.0], [1.0]])
+        market = SpectrumMarket(
+            utilities, interference_map_from_edge_lists(4, [[(0, 1)]])
+        )
+        seller = SellerAgent(0, market, default_policy(), initial_coalition={0})
+        state = seller.snapshot()
+        state.update(invitation_list=[2])  # refused earlier, invitable now
+        seller.restore(state)
+        recorder = Recorder()
+        horizon = default_policy().phase1_duration(market.num_channels)
+        seller.step(
+            [TransferApply(buyer_agent_id(1), 1), Propose(buyer_agent_id(3), 3)],
+            recorder.ctx(horizon),
+        )
+        assert seller.phase == 3
+        verdicts = recorder.of_type(TransferVerdict)
+        assert [(d, m.offered) for d, m in verdicts] == [(buyer_agent_id(1), False)]
+        assert [d for d, _ in recorder.of_type(Stage1Decision)] == [
+            buyer_agent_id(3)
+        ]
+        assert [d for d, _ in recorder.of_type(Invite)] == [buyer_agent_id(2)]
+        assert seller.snapshot()["invitation_list"] == [1]
+
     def test_rejected_applicant_is_invited_in_phase_two(self):
         market = make_market()
         seller = SellerAgent(0, market, default_policy())

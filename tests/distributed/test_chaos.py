@@ -374,11 +374,6 @@ class TestPartitionedNetwork:
         assert collector.received == [1, 3, 2]
         assert sim.messages_dropped == 0
 
-    def test_route_without_endpoints_rejected(self):
-        network = PartitionedNetwork(FaultSchedule())
-        with pytest.raises(SimulationError):
-            network.route(0, np.random.default_rng(0))
-
 
 # ----------------------------------------------------------------------
 # End to end: the matching protocol under chaos
@@ -457,7 +452,7 @@ class TestChaosEndToEnd:
             market,
             policy=default_policy(),
             fault_schedule=schedule,
-            deadline_slots=150,
+            max_slots=150,
             on_timeout="degrade",
         )
         assert result.status == "degraded"
@@ -487,7 +482,7 @@ class TestChaosEndToEnd:
                 market,
                 policy=default_policy(),
                 fault_schedule=schedule,
-                deadline_slots=150,
+                max_slots=150,
             )
 
     def test_invalid_on_timeout_rejected(self):

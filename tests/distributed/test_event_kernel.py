@@ -82,13 +82,15 @@ def market_for(num_buyers: int, num_channels: int, seed: int):
 
 
 def observed_run(market, **kwargs):
-    """One run with a live recorder: (result, event stream, counters)."""
+    """One run with a live recorder: (result, event stream, counters).
+
+    ``MAX_SLOTS`` bounds the run unless the case names its own bound.
+    """
     recorder = Recorder(events=ListEventSink(), metrics=MetricsRegistry())
     outcome = run_distributed_matching(
         market,
         recorder=recorder,
-        max_slots=MAX_SLOTS,
-        **kwargs,
+        **{"max_slots": MAX_SLOTS, **kwargs},
     )
     stream = [
         event
@@ -136,7 +138,7 @@ class TestMatchesPollingKernel:
             network=DelayedNetwork(0, 1),
             seed=BASE_SEED,
             fault_schedule=schedule,
-            deadline_slots=300,
+            max_slots=300,
             on_timeout="degrade",
         )
         assert result.crashes == 2 and result.restarts == 2
@@ -158,7 +160,7 @@ class TestMatchesPollingKernel:
             policy=adaptive_policy(),
             seed=BASE_SEED,
             fault_schedule=schedule,
-            deadline_slots=300,
+            max_slots=300,
             on_timeout="degrade",
         )
         assert result.restarts == 1
@@ -180,7 +182,7 @@ class TestMatchesPollingKernel:
             network=DelayedNetwork(1, 3),
             seed=BASE_SEED,
             fault_schedule=schedule,
-            deadline_slots=300,
+            max_slots=300,
             on_timeout="degrade",
         )
         assert result.partition_drops > 0
@@ -208,7 +210,7 @@ class TestMatchesPollingKernel:
             fault_schedule=FaultSchedule(
                 crashes=[CrashFault("buyer:3", crash_slot=5, restart_slot=15)]
             ),
-            deadline_slots=400,
+            max_slots=400,
             on_timeout="degrade",
         )
         assert result.messages_dropped > 0
@@ -289,7 +291,7 @@ class TestNextWakeContract:
                 seed=BASE_SEED,
                 reliable_transport=True,
                 fault_schedule=schedule,
-                deadline_slots=300,
+                max_slots=300,
                 on_timeout="degrade",
             )
         assert probes

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.distributed.messages import Propose
 from repro.distributed.network import DelayedNetwork, LossyNetwork, ReliableNetwork
 from repro.distributed.protocol import run_distributed_matching
 from repro.distributed.transition import default_policy
@@ -30,7 +31,11 @@ class TestLossyNetwork:
         """loss_rate=1.0 is legal: it expresses a total-blackout window."""
         network = LossyNetwork(loss_rate=1.0)
         rng = np.random.default_rng(0)
-        assert all(network.route(0, rng) is None for _ in range(100))
+        message = Propose("buyer:0", 0)
+        assert all(
+            network.route(0, rng, "buyer:0", "seller:0", message) is None
+            for _ in range(100)
+        )
 
     def test_zero_loss_behaves_like_reliable(self):
         market = toy_example_market()

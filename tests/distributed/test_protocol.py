@@ -202,6 +202,25 @@ class TestAccounting:
         result = run_distributed_matching(market, policy=default_policy())
         assert is_nash_stable(market, result.matching)
 
+    def test_divergent_views_of_a_fault_free_run_raise(self):
+        """A fault-free run that quiesced does not reconcile: the first
+        buyer the sellers' waitlists disagree with raises, named with her
+        belief and the sellers' claims."""
+        from repro.distributed.protocol import build_distributed_simulation
+        from repro.errors import ProtocolError
+
+        sim = build_distributed_simulation(
+            toy_example_market(), policy=default_policy()
+        )
+        slots = sim.run()
+        assert sim.buyers[2].current_channel == 1
+        sim.sellers[0].waitlist.add(2)
+        with pytest.raises(ProtocolError) as info:
+            sim.finalize(slots)
+        assert str(info.value) == (
+            "buyer 2 believes she is matched to 1 but sellers record [0, 1]"
+        )
+
 
 class TestPolicyValidation:
     def test_bad_thresholds_rejected(self):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.auction.mcafee import mcafee_double_auction
+from repro.cli import main
 from repro.core.matching import Matching
 from repro.core.two_stage import run_two_stage
 from repro.distributed.protocol import run_distributed_matching
@@ -189,6 +190,20 @@ class TestReportContract:
             get_solver("greedy").solve(toy_market, config={"quota": 3})
         with pytest.raises(SolverError, match="check_stability"):
             get_solver("two_stage").solve(toy_market, config={"bogus": 1})
+
+    @pytest.mark.parametrize("key", ["deadline_slots", "retransmit_interval"])
+    def test_removed_distributed_keys_rejected(self, toy_market, key, capsys):
+        # A distributed run has one slot bound, max_slots; the ARQ period
+        # is not a solver setting.
+        with pytest.raises(SolverError, match=rf"\['{key}'\]"):
+            get_solver("distributed").solve(toy_market, config={key: 5})
+        argv = ["solve", "--solver", "distributed", "--scenario", "toy",
+                "--config", f"{key}=5"]
+        for dry_run in ([], ["--dry-run"]):
+            assert main(argv + dry_run) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"['{key}']" in captured.err
 
     def test_removed_kernel_toggle_rejected(self, toy_market):
         # Stage I has no kernel switch any more: a caller still asking

@@ -4,9 +4,9 @@ For each run command, three paths must agree on the exit code and the
 printed result: (a) the flags, (b) ``repro run`` on the spec ``--dry-run``
 prints, and (c) ``repro profile run`` on that spec.  (a) and (b) must also
 record behaviourally identical traces.  The spec-only cases pin the
-places the entry points used to disagree: ``max_slots``, a misspelt
-policy, a dry run of a spec ``repro run`` refuses, and the telemetry
-settings ``Session`` used to skip.
+places the entry points used to disagree: the slot bound, a misspelt
+policy or option, a dry run of a spec ``repro run`` refuses, and the
+telemetry settings ``Session`` used to skip.
 """
 
 from __future__ import annotations
@@ -130,9 +130,8 @@ def test_chaos_honours_max_slots_everywhere(tmp_path, capsys):
     spec = RunSpec(
         command="chaos",
         market=MarketSpec(buyers=10, sellers=3),
-        engine=EngineSpec(
-            name="distributed", options={"policy": "default", "max_slots": 5}
-        ),
+        engine=EngineSpec(name="distributed", options={"policy": "default"}),
+        faults=FaultSpec(deadline_slots=5),
     )
     assert main(["run", _write(tmp_path, spec)]) == 0
     assert "status=degraded slots=5" in capsys.readouterr().out
@@ -165,6 +164,30 @@ def test_misspelt_policy_fails_the_same_everywhere(tmp_path, capsys):
         (
             dict(faults=FaultSpec(crashes=("buyer:1@5-10", "buyer:1@7-12"))),
             "faults: agent 'buyer:1' crash windows overlap",
+        ),
+        # An option the command does not read: the slot bound is
+        # faults.deadline_slots, and toy reads no option at all.
+        (
+            dict(engine=EngineSpec(
+                name="distributed", options={"policy": "default",
+                                             "max_slots": 5}
+            )),
+            "engine.options: unknown option(s) 'max_slots' for command "
+            "'chaos'; accepted: policy",
+        ),
+        (
+            dict(engine=EngineSpec(
+                name="distributed", options={"max_slot": 5}
+            )),
+            "unknown option(s) 'max_slot' for command 'chaos'",
+        ),
+        (
+            dict(
+                command="toy",
+                market=MarketSpec(scenario="toy"),
+                engine=EngineSpec(options={"polcy": "adaptive"}),
+            ),
+            "unknown option(s) 'polcy' for command 'toy'; accepted: none",
         ),
     )
     for index, (fields, expected) in enumerate(bad_inputs):

@@ -8,17 +8,19 @@ checkpoint and replays the rest of the run against the WAL.  Deleting
 rebuilt run must land on the identical result and trace.  A checkpoint
 this build cannot restore is skipped like a corrupt one.  A manifest
 whose config has any other shape (the flat mapping older durable
-runners wrote) is refused.
+runners wrote), or holds a spec ``RunSpec.validate`` refuses, is
+refused.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import shutil
 
 import pytest
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, SpecError
 from repro.obs import ListEventSink, Recorder
 from repro.run.session import Session
 from repro.run.spec import (
@@ -30,6 +32,7 @@ from repro.run.spec import (
     WorkloadSpec,
 )
 from repro.runtime import CheckpointStore, resume_run
+from repro.runtime.durable import run_durable
 from repro.trace.diff import diff_traces
 from repro.trace.reader import load_events
 
@@ -189,4 +192,40 @@ def test_flat_config_is_refused(tmp_path, kind):
         CheckpointError, match=re.escape(str(store.manifest_path))
     ):
         resume_run(tmp_path / "run")
+    assert not store.completed
+
+
+def test_stored_spec_with_an_unread_option_is_refused(tmp_path):
+    # The slot bound of a chaos spec is faults.deadline_slots; an
+    # engine.options.max_slots names a bound no command reads.  A fresh
+    # durable run refuses it before making its directory; a directory an
+    # older build wrote with it is refused by resume and left as it is.
+    run_dir = tmp_path / "run"
+    spec = _spec("chaos", run_dir)
+    engine = EngineSpec(
+        name="distributed", options={"policy": "default", "max_slots": 5}
+    )
+    with pytest.raises(SpecError, match=re.escape("'max_slots'")):
+        run_durable(dataclasses.replace(spec, engine=engine))
+    assert not run_dir.exists()
+    config = spec.durable_identity()
+    config["engine"]["options"]["max_slots"] = 5
+    store = CheckpointStore.create(
+        run_dir, kind="chaos", seed=spec.market.seed, config=config
+    )
+
+    def contents():
+        return {
+            path.relative_to(run_dir): (
+                path.read_bytes() if path.is_file() else None
+            )
+            for path in run_dir.rglob("*")
+        }
+
+    before = contents()
+    with pytest.raises(CheckpointError) as info:
+        resume_run(run_dir)
+    assert str(store.manifest_path) in str(info.value)
+    assert "unknown option(s) 'max_slots' for command 'chaos'" in str(info.value)
+    assert contents() == before
     assert not store.completed
