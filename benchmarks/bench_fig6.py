@@ -22,8 +22,6 @@ from repro.core.two_stage import run_two_stage
 from repro.optimal.branch_and_bound import optimal_matching_branch_and_bound
 from repro.workloads.scenarios import paper_simulation_market
 
-SERIES = ["welfare_proposed", "welfare_optimal", "welfare_ratio"]
-
 
 def _timed_unit(benchmark, num_buyers: int, num_channels: int) -> None:
     """Register one proposed-vs-optimal evaluation as the timed unit."""
@@ -45,7 +43,7 @@ def test_fig6a(benchmark, fig6_reps):
     print_panel(
         "Fig. 6(a): welfare vs number of buyers (M=4)",
         rows,
-        SERIES,
+        spec.series,
         "buyers",
         notes="paper: optimal ~4.5->7.5, proposed within 90%",
     )
@@ -64,7 +62,7 @@ def test_fig6b(benchmark, fig6_reps):
     print_panel(
         "Fig. 6(b): welfare vs number of sellers (N=8)",
         rows,
-        SERIES,
+        spec.series,
         "sellers",
         notes="paper: optimal ~3.5->6.5, proposed within 90%",
     )
@@ -82,7 +80,7 @@ def test_fig6c(benchmark, fig6_reps):
     print_panel(
         "Fig. 6(c): welfare vs price similarity (M=5, N=8)",
         rows,
-        SERIES,
+        spec.series,
         "similarity",
         include_srcc=True,
         notes="paper: welfare decreases as similarity -> 1; proposed within 90%",

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from benchmarks._shared import print_panel, stage_rows
+from repro.analysis.paper_figures import figure_spec
 from repro.core.two_stage import run_two_stage
 from repro.workloads.scenarios import paper_simulation_market
-
-SERIES = ["welfare_stage1", "welfare_phase1", "welfare_phase2"]
 
 
 def _timed_unit(benchmark, num_buyers: int, num_channels: int) -> None:
@@ -48,7 +47,7 @@ def test_fig7a(benchmark, fig78_reps):
     print_panel(
         "Fig. 7(a): cumulative welfare per stage vs buyers (M=10)",
         rows,
-        SERIES,
+        figure_spec(7, "a").series,
         "buyers",
         notes="paper: ~130->210, Phase 1 contributes most of Stage II",
     )
@@ -64,7 +63,7 @@ def test_fig7b(benchmark, fig78_reps):
     print_panel(
         "Fig. 7(b): cumulative welfare per stage vs sellers (N=500)",
         rows,
-        SERIES,
+        figure_spec(7, "b").series,
         "sellers",
         notes="paper: ~100->380, grows with sellers",
     )
@@ -80,7 +79,7 @@ def test_fig7c(benchmark, fig78_reps):
     print_panel(
         "Fig. 7(c): cumulative welfare per stage vs similarity (M=8, N=300)",
         rows,
-        SERIES,
+        figure_spec(7, "c").series,
         "similarity",
         include_srcc=True,
         notes=(

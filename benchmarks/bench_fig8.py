@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from benchmarks._shared import print_panel, stage_rows
+from repro.analysis.paper_figures import figure_spec
 from repro.core.deferred_acceptance import deferred_acceptance
 from repro.workloads.scenarios import paper_simulation_market
-
-SERIES = ["rounds_stage1", "rounds_phase1", "rounds_phase2"]
 
 
 def _timed_unit(benchmark, num_buyers: int, num_channels: int) -> None:
@@ -38,7 +37,7 @@ def test_fig8a(benchmark, fig78_reps):
     print_panel(
         "Fig. 8(a): rounds per stage vs buyers (M=10)",
         rows,
-        SERIES,
+        figure_spec(8, "a").series,
         "buyers",
         notes="paper: Stage I ~25, Phase 1 ~10 (flat in N), Phase 2 ~2",
     )
@@ -59,7 +58,7 @@ def test_fig8b(benchmark, fig78_reps):
     print_panel(
         "Fig. 8(b): rounds per stage vs sellers (N=500)",
         rows,
-        SERIES,
+        figure_spec(8, "b").series,
         "sellers",
         notes="paper: Phase 1 grows linearly with M; Stage I grows with M",
     )
@@ -77,7 +76,7 @@ def test_fig8c(benchmark, fig78_reps):
     print_panel(
         "Fig. 8(c): rounds per stage vs similarity (M=8, N=300)",
         rows,
-        SERIES,
+        figure_spec(8, "c").series,
         "similarity",
         include_srcc=True,
         notes="paper: roughly flat in similarity; Phase 2 a few rounds",

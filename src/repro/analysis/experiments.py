@@ -9,7 +9,13 @@ Two experiment families cover every panel of Figs. 6-8:
   welfare and per-stage round counts of the two-stage algorithm on large
   markets, over the same three sweep axes.
 
-Both functions are deterministic in their ``seed``: every (sweep value,
+:func:`solver_grid_series` runs any set of registered solvers over the
+same axes.  The three are one sweep path (:func:`_sweep`) with three
+measurements: each (sweep value, repetition) pair becomes one task that
+builds its market and applies the sweep's measurement, and each sweep
+value's samples are summarised into one :class:`ExperimentRow`.
+
+Every sweep is deterministic in its ``seed``: every (sweep value,
 repetition) pair derives an independent :class:`numpy.random.Generator`
 from ``[seed, value_index, repetition]``, so adding repetitions never
 perturbs earlier ones.
@@ -18,13 +24,15 @@ perturbs earlier ones.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import functools
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.parallel import parallel_map, resolve_jobs
 from repro.analysis.stats import SeriesStats, summarize
+from repro.core.market import SpectrumMarket
 from repro.engine.registry import get_solver
 from repro.errors import SpectrumMatchingError
 from repro.obs.metrics import MetricsRegistry
@@ -123,10 +131,12 @@ class _RepetitionTask:
     Instances are plain picklable dataclasses so the identical task can
     run in the calling process (serial sweeps) or a worker process
     (``jobs > 1``) -- the rng derivation travels with the task, which is
-    what makes results independent of the worker count.
+    what makes results independent of the worker count.  ``measure`` is
+    a module-level function (or a ``functools.partial`` of one) mapping
+    the task's market to its named values in column order.
     """
 
-    kind: str  # "optimal_comparison" | "stage_breakdown" | "solver_grid"
+    measure: Callable[[SpectrumMarket], Dict[str, float]]
     axis: SweepAxis
     seed: int
     value_index: int
@@ -134,61 +144,63 @@ class _RepetitionTask:
     num_buyers: int
     num_channels: int
     permutation_level: Optional[int]
-    #: Benchmark solver for ``optimal_comparison`` (a registry name).
-    solver: str = DEFAULT_OPTIMAL_SOLVER
-    #: Solvers measured by ``solver_grid`` (registry names).
-    solvers: Tuple[str, ...] = ()
-    #: Optional per-solver config mappings, keyed by registry name.
-    solver_configs: Optional[Dict[str, Dict[str, object]]] = field(
-        default=None, compare=False
-    )
-    collect_metrics: bool = False
 
 
-def _measure(task: _RepetitionTask, market, out: Dict[str, object]) -> None:
-    """Run the task's solvers on ``market`` and fill ``out`` with floats.
-
-    Every solve goes through the engine registry -- there is no
-    backend-specific dispatch here; the task carries registry *names*.
-    """
-    if task.kind == "optimal_comparison":
-        proposed = get_solver("two_stage").solve(market)
-        best_welfare = get_solver(task.solver).solve(market).social_welfare
-        out["proposed"] = proposed.social_welfare
-        out["optimal"] = best_welfare
-        out["ratio"] = (
-            proposed.social_welfare / best_welfare if best_welfare > 0 else 1.0
-        )
-    elif task.kind == "stage_breakdown":
-        report = get_solver("two_stage").solve(market)
-        for name in (
-            "welfare_stage1",
-            "welfare_phase1",
-            "welfare_phase2",
-            "rounds_stage1",
-            "rounds_phase1",
-            "rounds_phase2",
-        ):
-            out[name] = float(report.metadata[name])
-    elif task.kind == "solver_grid":
-        configs = task.solver_configs or {}
-        for name in task.solvers:
-            report = get_solver(name).solve(market, config=configs.get(name))
-            out[f"welfare_{name}"] = report.social_welfare
-    else:  # pragma: no cover - guarded by the series functions
-        raise SpectrumMatchingError(f"unknown task kind {task.kind!r}")
+# ----------------------------------------------------------------------
+# Measurements: every solve goes through the engine registry by name
+# ----------------------------------------------------------------------
+def _optimal_comparison(solver: str, market) -> Dict[str, float]:
+    """Fig. 6: the proposed welfare, ``solver``'s optimum and their ratio."""
+    proposed = get_solver("two_stage").solve(market).social_welfare
+    optimal = get_solver(solver).solve(market).social_welfare
+    return {
+        "welfare_proposed": proposed,
+        "welfare_optimal": optimal,
+        "welfare_ratio": proposed / optimal if optimal > 0 else 1.0,
+    }
 
 
-def _run_repetition(task: _RepetitionTask) -> Dict[str, object]:
-    """Execute one repetition and return its measurements as plain floats.
+_STAGE_SERIES = (
+    "welfare_stage1",
+    "welfare_phase1",
+    "welfare_phase2",
+    "rounds_stage1",
+    "rounds_phase1",
+    "rounds_phase2",
+)
 
-    Shared verbatim by the serial and parallel paths.  When
-    ``task.collect_metrics`` is set (parallel sweeps under a live
-    ambient recorder), the repetition runs under a local, process-private
-    :class:`MetricsRegistry` whose snapshot is returned with the sample
-    for the parent to merge -- per-round *events* are not streamed back
-    (the parent's sink would interleave workers non-deterministically);
-    only metrics cross the process boundary.
+
+def _stage_breakdown(market) -> Dict[str, float]:
+    """Figs. 7/8: per-stage welfare and round counts of one two-stage run."""
+    metadata = get_solver("two_stage").solve(market).metadata
+    return {name: float(metadata[name]) for name in _STAGE_SERIES}
+
+
+def _solver_grid(
+    solvers: Tuple[str, ...],
+    configs: Dict[str, Dict[str, object]],
+    market,
+) -> Dict[str, float]:
+    """The welfare of each of ``solvers`` on one market."""
+    return {
+        f"welfare_{name}": get_solver(name).solve(
+            market, config=configs.get(name)
+        ).social_welfare
+        for name in solvers
+    }
+
+
+# ----------------------------------------------------------------------
+# The one sweep path
+# ----------------------------------------------------------------------
+def _run_repetition(
+    task: _RepetitionTask,
+) -> Tuple[Dict[str, float], Optional[float]]:
+    """Build one repetition's market and measure it: ``(values, srcc)``.
+
+    ``srcc`` is the market's measured similarity on similarity sweeps,
+    else ``None``.  Serial sweeps call this in-process, under the ambient
+    recorder; workers call it through :func:`_run_in_worker`.
     """
     rng = _rng_for(task.axis, task.seed, task.value_index, task.repetition)
     market = paper_simulation_market(
@@ -197,22 +209,32 @@ def _run_repetition(task: _RepetitionTask) -> Dict[str, object]:
         rng,
         permutation_level=task.permutation_level,
     )
-    out: Dict[str, object] = {}
+    srcc = None
     if task.permutation_level is not None:
-        out["srcc"] = average_pairwise_srcc(market.utilities)
-    if task.collect_metrics:
-        registry = MetricsRegistry()
-        with use_recorder(Recorder(metrics=registry)):
-            _measure(task, market, out)
-        out["metrics"] = registry.snapshot()
-    else:
-        _measure(task, market, out)
-    return out
+        srcc = average_pairwise_srcc(market.utilities)
+    return task.measure(market), srcc
+
+
+def _run_in_worker(collect_metrics: bool, task: _RepetitionTask):
+    """One repetition in a worker process: ``(sample, metrics snapshot)``.
+
+    The repetition runs under a private recorder, never the one the
+    worker inherited from the parent, whose event sink holds the
+    parent's trace file: worker events there would interleave
+    non-deterministically (and re-write the parent's buffered lines).
+    Only metrics cross the process boundary: with ``collect_metrics``
+    (a live ambient metrics registry in the parent), the private
+    registry's snapshot is returned for the parent to merge.
+    """
+    registry = MetricsRegistry() if collect_metrics else None
+    with use_recorder(Recorder(metrics=registry)):
+        sample = _run_repetition(task)
+    return sample, None if registry is None else registry.snapshot()
 
 
 def _run_tasks(
     tasks: List[_RepetitionTask], jobs: Optional[int]
-) -> List[Dict[str, object]]:
+) -> List[Tuple[Dict[str, float], Optional[float]]]:
     """Run a task list serially or across workers, merging worker metrics.
 
     The serial path (``resolve_jobs(jobs) == 1``) executes in-process
@@ -226,15 +248,61 @@ def _run_tasks(
         return [_run_repetition(task) for task in tasks]
     recorder = resolve_recorder(None)
     collect = recorder.metrics.enabled
+    results = parallel_map(
+        functools.partial(_run_in_worker, collect), tasks, jobs=worker_count
+    )
     if collect:
-        tasks = [
-            dataclass_replace(task, collect_metrics=True) for task in tasks
-        ]
-    results = parallel_map(_run_repetition, tasks, jobs=worker_count)
-    if collect:
-        for sample in results:
-            recorder.metrics.merge(sample.pop("metrics"))
-    return results
+        for _, snapshot in results:
+            recorder.metrics.merge(snapshot)
+    return [sample for sample, _ in results]
+
+
+def _sweep(
+    measure: Callable[[SpectrumMarket], Dict[str, float]],
+    axis: SweepAxis,
+    values: Sequence[float],
+    num_buyers: Optional[int],
+    num_channels: Optional[int],
+    repetitions: int,
+    seed: int,
+    jobs: Optional[int],
+) -> List[ExperimentRow]:
+    """Measure every (sweep value, repetition) market; one row per value.
+
+    Tasks run in (value, repetition) order.  Each row summarises every
+    value ``measure`` names, in its column order, over the value's
+    repetitions.
+    """
+    tasks: List[_RepetitionTask] = []
+    xs: List[float] = []
+    for value_index, value in enumerate(values):
+        n, m, level = _market_params(axis, value, num_buyers, num_channels)
+        xs.append(float(value))
+        tasks.extend(
+            _RepetitionTask(
+                measure, axis, seed, value_index, rep, n, m, level
+            )
+            for rep in range(repetitions)
+        )
+    samples = _run_tasks(tasks, jobs)
+    rows: List[ExperimentRow] = []
+    for value_index, x in enumerate(xs):
+        chunk = samples[value_index * repetitions : (value_index + 1) * repetitions]
+        if not chunk:
+            summarize([])  # raises: a point without samples fails loudly
+        measured = [values for values, _ in chunk]
+        srccs = [srcc for _, srcc in chunk if srcc is not None]
+        rows.append(
+            ExperimentRow(
+                x=x,
+                series={
+                    name: summarize([values[name] for values in measured])
+                    for name in measured[0]
+                },
+                measured_srcc=float(np.mean(srccs)) if srccs else None,
+            )
+        )
+    return rows
 
 
 def optimal_comparison_series(
@@ -272,42 +340,10 @@ def optimal_comparison_series(
         (default ``"branch_and_bound"``; the paper's own method is
         ``"bruteforce"`` -- same answers, slower).
     """
-    tasks: List[_RepetitionTask] = []
-    params: List[tuple] = []
-    for value_index, value in enumerate(values):
-        n, m, level = _market_params(axis, value, num_buyers, num_channels)
-        params.append((value, level))
-        for rep in range(repetitions):
-            tasks.append(
-                _RepetitionTask(
-                    kind="optimal_comparison",
-                    axis=axis,
-                    seed=seed,
-                    value_index=value_index,
-                    repetition=rep,
-                    num_buyers=n,
-                    num_channels=m,
-                    permutation_level=level,
-                    solver=solver,
-                )
-            )
-    samples = _run_tasks(tasks, jobs)
-    rows: List[ExperimentRow] = []
-    for value_index, (value, level) in enumerate(params):
-        chunk = samples[value_index * repetitions : (value_index + 1) * repetitions]
-        srccs = [s["srcc"] for s in chunk if "srcc" in s]
-        rows.append(
-            ExperimentRow(
-                x=float(value),
-                series={
-                    "welfare_proposed": summarize([s["proposed"] for s in chunk]),
-                    "welfare_optimal": summarize([s["optimal"] for s in chunk]),
-                    "welfare_ratio": summarize([s["ratio"] for s in chunk]),
-                },
-                measured_srcc=float(np.mean(srccs)) if srccs else None,
-            )
-        )
-    return rows
+    return _sweep(
+        functools.partial(_optimal_comparison, solver),
+        axis, values, num_buyers, num_channels, repetitions, seed, jobs,
+    )
 
 
 def stage_breakdown_series(
@@ -328,47 +364,10 @@ def stage_breakdown_series(
     figures are two views of one experiment.  ``jobs`` selects the worker
     count exactly as in :func:`optimal_comparison_series`.
     """
-    _SERIES = (
-        "welfare_stage1",
-        "welfare_phase1",
-        "welfare_phase2",
-        "rounds_stage1",
-        "rounds_phase1",
-        "rounds_phase2",
+    return _sweep(
+        _stage_breakdown,
+        axis, values, num_buyers, num_channels, repetitions, seed, jobs,
     )
-    tasks: List[_RepetitionTask] = []
-    params: List[tuple] = []
-    for value_index, value in enumerate(values):
-        n, m, level = _market_params(axis, value, num_buyers, num_channels)
-        params.append((value, level))
-        for rep in range(repetitions):
-            tasks.append(
-                _RepetitionTask(
-                    kind="stage_breakdown",
-                    axis=axis,
-                    seed=seed,
-                    value_index=value_index,
-                    repetition=rep,
-                    num_buyers=n,
-                    num_channels=m,
-                    permutation_level=level,
-                )
-            )
-    samples = _run_tasks(tasks, jobs)
-    rows: List[ExperimentRow] = []
-    for value_index, (value, level) in enumerate(params):
-        chunk = samples[value_index * repetitions : (value_index + 1) * repetitions]
-        srccs = [s["srcc"] for s in chunk if "srcc" in s]
-        rows.append(
-            ExperimentRow(
-                x=float(value),
-                series={
-                    name: summarize([s[name] for s in chunk]) for name in _SERIES
-                },
-                measured_srcc=float(np.mean(srccs)) if srccs else None,
-            )
-        )
-    return rows
 
 
 def solver_grid_series(
@@ -406,46 +405,8 @@ def solver_grid_series(
     names = tuple(solvers)
     if not names:
         raise SpectrumMatchingError("solver_grid_series needs at least one solver")
-    configs = (
-        {name: dict(cfg) for name, cfg in solver_configs.items()}
-        if solver_configs
-        else None
+    configs = {name: dict(cfg) for name, cfg in (solver_configs or {}).items()}
+    return _sweep(
+        functools.partial(_solver_grid, names, configs),
+        axis, values, num_buyers, num_channels, repetitions, seed, jobs,
     )
-    tasks: List[_RepetitionTask] = []
-    params: List[tuple] = []
-    for value_index, value in enumerate(values):
-        n, m, level = _market_params(axis, value, num_buyers, num_channels)
-        params.append((value, level))
-        for rep in range(repetitions):
-            tasks.append(
-                _RepetitionTask(
-                    kind="solver_grid",
-                    axis=axis,
-                    seed=seed,
-                    value_index=value_index,
-                    repetition=rep,
-                    num_buyers=n,
-                    num_channels=m,
-                    permutation_level=level,
-                    solvers=names,
-                    solver_configs=configs,
-                )
-            )
-    samples = _run_tasks(tasks, jobs)
-    rows: List[ExperimentRow] = []
-    for value_index, (value, level) in enumerate(params):
-        chunk = samples[value_index * repetitions : (value_index + 1) * repetitions]
-        srccs = [s["srcc"] for s in chunk if "srcc" in s]
-        rows.append(
-            ExperimentRow(
-                x=float(value),
-                series={
-                    f"welfare_{name}": summarize(
-                        [s[f"welfare_{name}"] for s in chunk]
-                    )
-                    for name in names
-                },
-                measured_srcc=float(np.mean(srccs)) if srccs else None,
-            )
-        )
-    return rows

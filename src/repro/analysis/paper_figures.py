@@ -11,11 +11,13 @@ parameters printed in the paper's captions:
 * Fig. 7/8(c): ``M = 8, N = 300``, similarity 0..1.
 
 (The paper plots Figs. 7 and 8 from the same runs -- welfare and rounds
-respectively -- so their specs coincide and the harness reuses results.)
+respectively -- so they share one panel table and differ only in the
+``series`` they plot.)
 
 The benchmark modules and the CLI both resolve panels through
-:func:`figure_spec`, so the numbers printed by ``pytest benchmarks`` and
-``spectrum-matching fig7 --panel b`` can never drift apart.
+:func:`figure_spec` and print its ``series``, so the numbers printed by
+``pytest benchmarks`` and ``spectrum-matching fig7 --panel b`` can never
+drift apart.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class FigureSpec:
     Attributes
     ----------
     figure:
-        ``6``, ``7`` or ``8`` (7 and 8 share specs).
+        ``6``, ``7`` or ``8`` (7 and 8 share panels).
     panel:
         ``"a"``, ``"b"`` or ``"c"``.
     axis / values:
@@ -54,6 +56,9 @@ class FigureSpec:
         (Figs. 7/8).
     default_repetitions:
         Repetitions used when the caller does not override.
+    series:
+        The series the figure plots, in column order; each names a
+        series of the panel's rows.
     """
 
     figure: int
@@ -64,85 +69,47 @@ class FigureSpec:
     num_channels: Optional[int]
     kind: str
     default_repetitions: int
+    series: Tuple[str, ...]
 
 
 _SIMILARITY_VALUES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
-FIGURE_SPECS: Dict[Tuple[int, str], FigureSpec] = {
-    (6, "a"): FigureSpec(
-        figure=6,
-        panel="a",
-        axis=SweepAxis.BUYERS,
-        values=(6, 7, 8, 9, 10),
-        num_buyers=None,
-        num_channels=4,
-        kind="optimal_comparison",
-        default_repetitions=100,
-    ),
-    (6, "b"): FigureSpec(
-        figure=6,
-        panel="b",
-        axis=SweepAxis.SELLERS,
-        values=(2, 3, 4, 5, 6),
-        num_buyers=8,
-        num_channels=None,
-        kind="optimal_comparison",
-        default_repetitions=100,
-    ),
-    (6, "c"): FigureSpec(
-        figure=6,
-        panel="c",
-        axis=SweepAxis.SIMILARITY,
-        values=_SIMILARITY_VALUES,
-        num_buyers=8,
-        num_channels=5,
-        kind="optimal_comparison",
-        default_repetitions=100,
-    ),
-    (7, "a"): FigureSpec(
-        figure=7,
-        panel="a",
-        axis=SweepAxis.BUYERS,
-        values=(200, 220, 240, 260, 280, 300, 320),
-        num_buyers=None,
-        num_channels=10,
-        kind="stage_breakdown",
-        default_repetitions=10,
-    ),
-    (7, "b"): FigureSpec(
-        figure=7,
-        panel="b",
-        axis=SweepAxis.SELLERS,
-        values=(4, 6, 8, 10, 12, 14, 16),
-        num_buyers=500,
-        num_channels=None,
-        kind="stage_breakdown",
-        default_repetitions=10,
-    ),
-    (7, "c"): FigureSpec(
-        figure=7,
-        panel="c",
-        axis=SweepAxis.SIMILARITY,
-        values=_SIMILARITY_VALUES,
-        num_buyers=300,
-        num_channels=8,
-        kind="stage_breakdown",
-        default_repetitions=10,
-    ),
+#: Each experiment's panels: ``(axis, values, num_buyers, num_channels)``.
+_PANELS = {
+    "optimal_comparison": {
+        "a": (SweepAxis.BUYERS, (6, 7, 8, 9, 10), None, 4),
+        "b": (SweepAxis.SELLERS, (2, 3, 4, 5, 6), 8, None),
+        "c": (SweepAxis.SIMILARITY, _SIMILARITY_VALUES, 8, 5),
+    },
+    "stage_breakdown": {
+        "a": (SweepAxis.BUYERS, (200, 220, 240, 260, 280, 300, 320), None, 10),
+        "b": (SweepAxis.SELLERS, (4, 6, 8, 10, 12, 14, 16), 500, None),
+        "c": (SweepAxis.SIMILARITY, _SIMILARITY_VALUES, 300, 8),
+    },
 }
-# Fig. 8 reuses the Fig. 7 runs (same experiment, different columns).
-for _panel in ("a", "b", "c"):
-    _spec = FIGURE_SPECS[(7, _panel)]
-    FIGURE_SPECS[(8, _panel)] = FigureSpec(
-        figure=8,
-        panel=_panel,
-        axis=_spec.axis,
-        values=_spec.values,
-        num_buyers=_spec.num_buyers,
-        num_channels=_spec.num_channels,
-        kind=_spec.kind,
-        default_repetitions=_spec.default_repetitions,
+
+#: Each figure's experiment, default repetitions and plotted series.
+_FIGURES = {
+    6: ("optimal_comparison", 100,
+        ("welfare_proposed", "welfare_optimal", "welfare_ratio")),
+    7: ("stage_breakdown", 10,
+        ("welfare_stage1", "welfare_phase1", "welfare_phase2")),
+    8: ("stage_breakdown", 10,
+        ("rounds_stage1", "rounds_phase1", "rounds_phase2")),
+}
+
+FIGURE_SPECS: Dict[Tuple[int, str], FigureSpec] = {
+    (figure, panel): FigureSpec(
+        figure, panel, axis, values, buyers, channels, kind, reps, series
     )
+    for figure, (kind, reps, series) in _FIGURES.items()
+    for panel, (axis, values, buyers, channels) in _PANELS[kind].items()
+}
+
+_SWEEPS = {
+    "optimal_comparison": optimal_comparison_series,
+    "stage_breakdown": stage_breakdown_series,
+}
 
 
 def figure_spec(figure: int, panel: str) -> FigureSpec:
@@ -188,30 +155,20 @@ def run_figure(
             seed=seed,
         )
     with rec.span(f"figure.fig{spec.figure}{spec.panel}"):
-        if spec.kind == "optimal_comparison":
-            rows = optimal_comparison_series(
-                spec.axis,
-                xs,
-                num_buyers=spec.num_buyers,
-                num_channels=spec.num_channels,
-                repetitions=reps,
-                seed=seed,
-                jobs=jobs,
-            )
-        elif spec.kind == "stage_breakdown":
-            rows = stage_breakdown_series(
-                spec.axis,
-                xs,
-                num_buyers=spec.num_buyers,
-                num_channels=spec.num_channels,
-                repetitions=reps,
-                seed=seed,
-                jobs=jobs,
-            )
-        else:
+        sweep = _SWEEPS.get(spec.kind)
+        if sweep is None:
             raise SpectrumMatchingError(
                 f"unknown experiment kind {spec.kind!r}"
             )
+        rows = sweep(
+            spec.axis,
+            xs,
+            num_buyers=spec.num_buyers,
+            num_channels=spec.num_channels,
+            repetitions=reps,
+            seed=seed,
+            jobs=jobs,
+        )
     if rec.enabled:
         rec.metrics.counter("figure.markets").inc(len(rows) * reps)
         for row in rows:

@@ -78,7 +78,6 @@ from repro.run.session import (
     RunLifecycle,
     Session,
     build_market,
-    build_policy,
     build_recorder,
 )
 from repro.run.spec import (
@@ -93,11 +92,6 @@ from repro.run.spec import (
 from repro.workloads.scenarios import paper_simulation_market
 
 __all__ = ["main", "build_parser"]
-
-_FIG6_SERIES = ["welfare_proposed", "welfare_optimal", "welfare_ratio"]
-_FIG7_SERIES = ["welfare_stage1", "welfare_phase1", "welfare_phase2"]
-_FIG8_SERIES = ["rounds_stage1", "rounds_phase1", "rounds_phase2"]
-
 
 # ----------------------------------------------------------------------
 # Shared parent parsers: each cross-command flag is defined exactly once,
@@ -926,14 +920,15 @@ def _cmd_figure(session: Session) -> int:
     repetitions = options.get("repetitions")
     fig_spec = figure_spec(figure, panel)
     rows = session.execute()
-    series = {6: _FIG6_SERIES, 7: _FIG7_SERIES, 8: _FIG8_SERIES}[figure]
     x_label = fig_spec.axis.value
     include_srcc = fig_spec.axis.value == "similarity"
     if options.get("csv"):
-        print(rows_to_csv(rows, series, x_label=x_label), end="")
+        print(rows_to_csv(rows, fig_spec.series, x_label=x_label), end="")
     else:
         print(f"Fig. {figure}({panel}) -- sweep over {x_label}")
-        print(format_experiment_rows(rows, series, x_label, include_srcc))
+        print(
+            format_experiment_rows(rows, fig_spec.series, x_label, include_srcc)
+        )
     json_out = options.get("json_out")
     if json_out:
         from repro.analysis.persistence import save_rows
@@ -1052,11 +1047,13 @@ def _cmd_distributed(session: Session) -> int:
         print(f"network: {loss:.0%} message loss, ARQ transport enabled")
     chosen = spec.engine.options.get("policy", "both")
     for name in POLICIES if chosen == "both" else (chosen,):
+        engine = dataclasses.replace(
+            spec.engine, options={**spec.engine.options, "policy": name}
+        )
         run = Session(
-            spec,
+            dataclasses.replace(spec, engine=engine),
             recorder=session.recorder,
             market=market,
-            policy=build_policy(name),
         ).execute()
         print(
             f"{name:>8}: slots={run.slots} messages={run.messages_sent} "

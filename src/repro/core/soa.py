@@ -44,6 +44,7 @@ import numpy as np
 from repro.core.market import SpectrumMarket
 from repro.core.matching import Matching
 from repro.core.trace import StageOneRound
+from repro.interference import graph as graph_module
 from repro.interference.mwis import MwisAlgorithm
 from repro.obs.events import round_to_event
 from repro.obs.recorder import Recorder
@@ -108,13 +109,6 @@ def _mask_words(slots: np.ndarray, words: int) -> np.ndarray:
     return np.packbits(bits, bitorder="little").view(np.uint64)
 
 
-#: Markets up to this many buyers use the dense id-space pool layout
-#: (a packed ``N x N`` adjacency per channel, ~2 MiB at the threshold);
-#: larger markets fall back to slot-compacted CSR-linked rows that never
-#: materialise anything dense in ``N``.
-DENSE_POOL_THRESHOLD = 4096
-
-
 class SellerPoolCache:
     """Slot-stable packed pool state for one seller's candidate pools.
 
@@ -128,7 +122,9 @@ class SellerPoolCache:
     64-bit words over slot indices.  Two layouts share the interface
     (``slot_of``, ``ids``, ``weights``, ``rows``, ``words``):
 
-    * **dense** (``N <= DENSE_POOL_THRESHOLD``): slots *are* buyer ids.
+    * **dense** (``N <= PACKED_QUERY_MAX_BUYERS``, the size up to which
+      the graph's packed rows serve coalition queries too, ~2 MiB a
+      channel at the bound): slots *are* buyer ids.
       Rows live in a fixed ``(N, ceil(N/64))`` table and the update is
       the delta formula
       ``row = (row & ~departed) | (adjacency & arrived)`` on the
@@ -163,18 +159,12 @@ class SellerPoolCache:
         "_free",
     )
 
-    def __init__(
-        self, graph, prices, dense_threshold: Optional[int] = None
-    ) -> None:
-        if dense_threshold is None:
-            # Resolved at call time (not def time) so tests can
-            # monkeypatch the module constant to force the sparse
-            # layout on small markets.
-            dense_threshold = DENSE_POOL_THRESHOLD
+    def __init__(self, graph, prices) -> None:
         self._prices = np.asarray(prices, dtype=np.float64)
         num_buyers = graph.num_buyers
         self.num_buyers = num_buyers
-        self.dense = num_buyers <= dense_threshold
+        # Read at call time, so tests can monkeypatch the one constant.
+        self.dense = num_buyers <= graph_module.PACKED_QUERY_MAX_BUYERS
         if self.dense:
             self.words = (num_buyers + 63) // 64 if num_buyers else 1
             self._adj = graph.packed_rows()

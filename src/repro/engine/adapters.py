@@ -22,7 +22,7 @@ from repro.core.market import SpectrumMarket
 from repro.core.matching import Matching
 from repro.core.two_stage import run_two_stage
 from repro.auction.mcafee import mcafee_double_auction
-from repro.distributed.protocol import DEFAULT_MAX_SLOTS, run_distributed_matching
+from repro.distributed.protocol import run_distributed_matching
 from repro.distributed.transition import NAMED_POLICIES
 from repro.engine.protocol import Capability
 from repro.engine.registry import register_solver
@@ -307,23 +307,19 @@ class McAfeeSolver(SolverAdapter):
 
 
 class DistributedSolver(SolverAdapter):
+    """The fault-free Section IV protocol; its one option is ``policy``.
+
+    The run takes the protocol's defaults (reliable network, default slot
+    bound, a timeout raises); faulty or lossy runs are ``chaos`` specs.
+    """
+
     name = "distributed"
     capabilities = frozenset({Capability.HEURISTIC, Capability.DECENTRALIZED})
     description = (
         "Section-IV message-passing runtime with local stage-transition "
-        "rules (optionally faulty/lossy)"
+        "rules"
     )
-    config_keys = frozenset(
-        {
-            "policy",
-            "network",
-            "seed",
-            "max_slots",
-            "reliable_transport",
-            "fault_schedule",
-            "on_timeout",
-        }
-    )
+    config_keys = frozenset({"policy"})
 
     def check_config(self, config):
         super().check_config(config)
@@ -339,15 +335,7 @@ class DistributedSolver(SolverAdapter):
         if isinstance(policy, str):
             policy = NAMED_POLICIES[policy]()
         result = run_distributed_matching(
-            market,
-            policy=policy,
-            network=config.get("network"),
-            seed=int(config.get("seed", 0)),
-            max_slots=int(config.get("max_slots", DEFAULT_MAX_SLOTS)),
-            reliable_transport=bool(config.get("reliable_transport", False)),
-            recorder=recorder,
-            fault_schedule=config.get("fault_schedule"),
-            on_timeout=str(config.get("on_timeout", "raise")),
+            market, policy=policy, recorder=recorder
         )
         metadata = {
             "slots": result.slots,

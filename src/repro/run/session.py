@@ -11,9 +11,11 @@ and resumed -- executes through this module:
 * :class:`RunLifecycle` is the one run lifecycle -- SLO engine,
   telemetry server, profiler, final SLO verdict, ``serve_hold``,
   ``metrics_out`` -- shared by :meth:`Session.run` and the CLI;
-* :class:`Session` validates a spec and :meth:`Session.execute`
-  dispatches it to the engine's one public entry point, in the engine's
-  own module (:func:`~repro.core.two_stage.run_two_stage`,
+* :class:`Session` validates a spec (an option or a section its command
+  does not read is a :class:`~repro.errors.SpecError`) and
+  :meth:`Session.execute` dispatches it to the engine's one public
+  entry point, in the engine's own module
+  (:func:`~repro.core.two_stage.run_two_stage`,
   :func:`~repro.distributed.protocol.run_distributed_matching`,
   :meth:`~repro.dynamic.online.OnlineMatcher.run`,
   :func:`~repro.engine.registry.solve`,
@@ -77,8 +79,6 @@ __all__ = [
 #: The benchmark worker (``benchmarks/e2e/worker.py``) imports this name;
 #: it goes when the benchmark calls ``run_two_stage`` itself.
 execute_two_stage = run_two_stage
-
-_DURABLE_COMMANDS = ("distributed", "chaos", "dynamic")
 
 
 # ----------------------------------------------------------------------
@@ -394,9 +394,9 @@ class Session:
     :class:`~repro.errors.SpecError`.  After :meth:`run`,
     :attr:`lifecycle` carries the SLO verdict.
 
-    Keyword overrides (``recorder``, ``market``, ``policy``) swap in
-    pre-built components, as the CLI's ``distributed`` comparison does to
-    run each policy on one market and one trace; everything omitted is
+    Keyword overrides (``recorder``, ``market``) swap in pre-built
+    components, as the CLI's ``distributed`` comparison does to run one
+    spec per policy on one market and one trace; everything omitted is
     derived from the spec.
     """
 
@@ -406,12 +406,11 @@ class Session:
         *,
         recorder: Optional[Recorder] = None,
         market=None,
-        policy=None,
     ) -> None:
         spec.validate()
         self.spec = spec
         self._market = market
-        self._policy = policy
+        self._policy = None
         self._owns_recorder = recorder is None
         if recorder is None:
             recorder = build_recorder(
@@ -445,11 +444,11 @@ class Session:
     def durable(self) -> bool:
         """Whether :meth:`execute` runs durably (WAL + checkpoints).
 
-        ``durability.checkpoint_dir`` makes ``distributed``, ``chaos``
-        and ``dynamic`` runs durable; the other commands ignore it.
+        ``durability.checkpoint_dir`` makes a ``distributed``, ``chaos``
+        or ``dynamic`` run durable; :meth:`RunSpec.validate` refuses it
+        in any other command's spec.
         """
-        spec = self.spec
-        return spec.durability.durable and spec.command in _DURABLE_COMMANDS
+        return self.spec.durability.durable
 
     # ------------------------------------------------------------------
     def open(self) -> RunLifecycle:

@@ -28,6 +28,9 @@ the trace manifest's future-schema rejection.  That makes a serialized
 spec safe to store in run-dir manifests (resume compatibility becomes a
 spec-equality check) and to accept over the wire.  The CLI's flags
 become a spec through the same strict :meth:`RunSpec.from_dict`.
+:meth:`RunSpec.validate` also refuses what the spec's command would not
+read: an ``engine.options`` key outside :data:`COMMAND_OPTIONS`, and a
+non-default section outside :data:`SECTION_COMMANDS`.
 
 Execution lives in :mod:`repro.run.session`.
 """
@@ -94,6 +97,16 @@ COMMAND_OPTIONS = {
     "fig8": _FIGURE_OPTIONS,
     "distributed": ("policy",),
     "chaos": ("policy",),
+}
+
+#: The commands that read each of these sections; in any other command's
+#: spec the section keeps its default.  Every command reads ``market``,
+#: ``engine``, ``telemetry`` and ``profile``.
+SECTION_COMMANDS = {
+    "faults": ("distributed", "chaos"),
+    "durability": ("distributed", "chaos", "dynamic"),
+    "parallel": ("fig6", "fig7", "fig8"),
+    "market.workload": ("dynamic",),
 }
 
 _SCENARIOS = ("paper", "toy", "counterexample")
@@ -584,6 +597,16 @@ class RunSpec(_Section, section="spec"):
                     + ", ".join(repr(key) for key in unknown)
                     + f" for command {self.command!r}; accepted: "
                     + (", ".join(accepted) or "none")
+                )
+        default = RunSpec(command=self.command)
+        for path, readers in SECTION_COMMANDS.items():
+            names = path.split(".")
+            if self.command not in readers and functools.reduce(
+                getattr, names, self
+            ) != functools.reduce(getattr, names, default):
+                raise SpecError(
+                    f"{path}: command {self.command!r} does not read this "
+                    f"section; it is read by {', '.join(readers)}"
                 )
         if self.command == "dynamic":
             if self.market.workload is None:

@@ -66,6 +66,15 @@ class TestScaledDownRuns:
         assert "rounds_stage1" in rows[0].series
         assert "welfare_phase2" in rows[0].series
 
+    @pytest.mark.parametrize(
+        "key", sorted(FIGURE_SPECS), ids=lambda key: f"fig{key[0]}{key[1]}"
+    )
+    def test_series_name_columns_of_the_rows(self, key):
+        spec = FIGURE_SPECS[key]
+        (row,) = run_figure(spec, repetitions=1, seed=0, values=spec.values[:1])
+        assert len(spec.series) == 3
+        assert set(spec.series) <= set(row.series)
+
     def test_default_repetitions_applied(self):
         spec = figure_spec(6, "a")
         rows = run_figure(spec, values=[6], seed=0, repetitions=3)

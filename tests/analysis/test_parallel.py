@@ -11,9 +11,11 @@ from repro.analysis.experiments import (
     optimal_comparison_series,
     stage_breakdown_series,
 )
-from repro.analysis.parallel import parallel_map, resolve_jobs
+from repro.analysis.parallel import parallel_map, resolve_jobs, shutdown_pools
+from repro.cli import main
 from repro.errors import ParallelExecutionError, SpectrumMatchingError
 from repro.obs import ListEventSink, MetricsRegistry, Recorder, use_recorder
+from repro.trace.reader import load_events
 
 
 # Worker functions must live at module level to be picklable.
@@ -160,6 +162,24 @@ class TestSweepDeterminism:
             stage_breakdown_series(
                 SweepAxis.BUYERS, [10], num_channels=0, repetitions=2, seed=0, jobs=2
             )
+
+
+class TestWorkerIsolation:
+    def test_workers_leave_the_parent_trace_alone(self, tmp_path):
+        # Workers start with a copy of the parent's recorder, whose sink
+        # holds the trace file; their events must stay in the worker.
+        shutdown_pools()  # fork the workers under this run's recorder
+        trace = tmp_path / "fig.jsonl"
+        assert main([
+            "fig6", "--panel", "a", "--repetitions", "3", "--jobs", "2",
+            "--trace-out", str(trace),
+        ]) == 0
+        events = load_events(str(trace))
+        assert [event["event"] for event in events].count("manifest") == 1
+        assert {event["event"] for event in events} == {
+            "manifest", "figure.start", "analysis.progress", "span",
+            "figure.row",
+        }
 
 
 class TestMetricsMerging:

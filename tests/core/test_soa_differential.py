@@ -19,6 +19,7 @@ import pytest
 
 import repro.core.soa as soa
 from repro.core.deferred_acceptance import deferred_acceptance
+from repro.interference import graph as graph_module
 from repro.interference.mwis import MwisAlgorithm
 from repro.workloads.scenarios import paper_simulation_market
 
@@ -106,7 +107,7 @@ class TestBatchedDifferential:
 class TestSparsePoolLayout:
     """Force the slot-recycling sparse ``SellerPoolCache`` on small N.
 
-    The scalability tier (N > ``DENSE_POOL_THRESHOLD``) is the only
+    The scalability tier (N > ``PACKED_QUERY_MAX_BUYERS``) is the only
     organic user of the sparse layout, far too big for the tier-1 suite;
     dropping the threshold to zero runs the identical differential sweep
     through the sparse update/solve code instead.
@@ -121,7 +122,7 @@ class TestSparsePoolLayout:
     def test_sparse_layout_identical(
         self, monkeypatch, algorithm, monotone_guard
     ):
-        monkeypatch.setattr(soa, "DENSE_POOL_THRESHOLD", 0)
+        monkeypatch.setattr(graph_module, "PACKED_QUERY_MAX_BUYERS", 0)
         for seed in (700, 11, 42):
             market = paper_simulation_market(
                 80, 6, np.random.default_rng([seed, 80]),

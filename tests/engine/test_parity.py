@@ -191,10 +191,13 @@ class TestReportContract:
         with pytest.raises(SolverError, match="check_stability"):
             get_solver("two_stage").solve(toy_market, config={"bogus": 1})
 
-    @pytest.mark.parametrize("key", ["deadline_slots", "retransmit_interval"])
+    @pytest.mark.parametrize("key", [
+        "deadline_slots", "retransmit_interval", "network", "seed",
+        "max_slots", "reliable_transport", "fault_schedule", "on_timeout",
+    ])
     def test_removed_distributed_keys_rejected(self, toy_market, key, capsys):
-        # A distributed run has one slot bound, max_slots; the ARQ period
-        # is not a solver setting.
+        # The solver's one option is policy: a faulty, lossy or bounded
+        # run is a chaos spec, and the ARQ period is no setting at all.
         with pytest.raises(SolverError, match=rf"\['{key}'\]"):
             get_solver("distributed").solve(toy_market, config={key: 5})
         argv = ["solve", "--solver", "distributed", "--scenario", "toy",

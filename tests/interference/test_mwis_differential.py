@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.soa import SellerPoolCache, _batched_mwis
+from repro.interference import graph as graph_module
 from repro.interference.graph import InterferenceGraph
 from repro.interference.mwis import (
     MwisAlgorithm,
@@ -43,7 +44,7 @@ REFERENCES = {
 ALGORITHMS = pytest.mark.parametrize(
     "algorithm", list(REFERENCES), ids=lambda a: a.value
 )
-#: ``sparse`` drops the dense-layout threshold to zero, forcing the
+#: ``sparse`` drops ``PACKED_QUERY_MAX_BUYERS`` to zero, forcing the
 #: slot-recycling layout the large markets use onto these tiny graphs.
 LAYOUTS = pytest.mark.parametrize("layout", ["dense", "sparse"])
 SEGMENTS = pytest.mark.parametrize("segments", ["single", "multi"])
@@ -86,17 +87,18 @@ def _random_instance(rng: random.Random):
 def _batched(algorithm, layout, instances):
     """Solve every ``(graph, weights, pool)`` instance in one batched call."""
     caches, pools = [], []
-    for graph, weights, pool in instances:
-        cache = SellerPoolCache(
-            graph,
-            [weights[j] for j in range(graph.num_buyers)],
-            dense_threshold=None if layout == "dense" else 0,
-        )
-        assert cache.dense == (layout == "dense")
-        pool_ids = np.asarray(pool, dtype=np.int64)
-        cache.update(pool_ids)
-        caches.append(cache)
-        pools.append(pool_ids)
+    with pytest.MonkeyPatch.context() as patch:
+        if layout == "sparse":
+            patch.setattr(graph_module, "PACKED_QUERY_MAX_BUYERS", 0)
+        for graph, weights, pool in instances:
+            cache = SellerPoolCache(
+                graph, [weights[j] for j in range(graph.num_buyers)]
+            )
+            assert cache.dense == (layout == "dense")
+            pool_ids = np.asarray(pool, dtype=np.int64)
+            cache.update(pool_ids)
+            caches.append(cache)
+            pools.append(pool_ids)
     return [chosen.tolist() for chosen in _batched_mwis(algorithm, caches, pools)]
 
 

@@ -5,8 +5,9 @@ printed result: (a) the flags, (b) ``repro run`` on the spec ``--dry-run``
 prints, and (c) ``repro profile run`` on that spec.  (a) and (b) must also
 record behaviourally identical traces.  The spec-only cases pin the
 places the entry points used to disagree: the slot bound, a misspelt
-policy or option, a dry run of a spec ``repro run`` refuses, and the
-telemetry settings ``Session`` used to skip.
+policy or option, a section the command does not read, a dry run of a
+spec ``repro run`` refuses, and the telemetry settings ``Session`` used
+to skip.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from repro.run.spec import (
     EngineSpec,
     FaultSpec,
     MarketSpec,
+    ParallelSpec,
     RunSpec,
     TelemetrySpec,
+    WorkloadSpec,
 )
 from repro.trace.diff import diff_traces
 from repro.trace.export import parse_openmetrics
@@ -246,6 +249,56 @@ def test_misspelt_policy_fails_the_same_everywhere(tmp_path, capsys):
         "(--strategy warm|cold)\n"
     )
     assert not run_dir.exists()
+
+
+def test_unread_section_fails_the_same_everywhere(tmp_path, capsys):
+    # A section only some commands read keeps its default elsewhere:
+    # faults (distributed, chaos), durability (distributed, chaos,
+    # dynamic), parallel (fig6-fig8) and market.workload (dynamic).
+    run_dir = tmp_path / "run"
+    durability = DurabilitySpec(checkpoint_dir=str(run_dir))
+    market = MarketSpec(buyers=8, sellers=3)
+    workload = MarketSpec(buyers=8, sellers=3, workload=WorkloadSpec(epochs=2))
+    chaos = EngineSpec(name="distributed", options={"policy": "default"})
+    bad_inputs = (
+        (RunSpec(command="solve", market=market,
+                 engine=EngineSpec(name="distributed"),
+                 faults=FaultSpec(loss=0.5, crashes=("seller:0@1",),
+                                  deadline_slots=3)),
+         "faults: command 'solve'"),
+        (RunSpec(command="toy", market=MarketSpec(scenario="toy"),
+                 faults=FaultSpec(loss=0.5)),
+         "faults: command 'toy'"),
+        (RunSpec(command="dynamic", market=workload,
+                 engine=EngineSpec(name="dynamic"),
+                 faults=FaultSpec(loss=0.5, crashes=("buyer:1@2",))),
+         "faults: command 'dynamic'"),
+        (RunSpec(command="solve", market=market, durability=durability),
+         "durability: command 'solve'"),
+        (RunSpec(command="fig6", engine=EngineSpec(
+                     name="figure", options={"repetitions": 1}),
+                 durability=durability),
+         "durability: command 'fig6'"),
+        (RunSpec(command="chaos", market=workload, engine=chaos),
+         "market.workload: command 'chaos'"),
+        (RunSpec(command="chaos", market=market, engine=chaos,
+                 parallel=ParallelSpec(jobs=2)),
+         "parallel: command 'chaos'"),
+    )
+    for spec, expected in bad_inputs:
+        with pytest.raises(SpecError) as info:
+            Session(spec)
+        assert expected in str(info.value)
+        assert "does not read this section" in str(info.value)
+        path = _write(tmp_path, spec)
+        prof = tmp_path / "prof"
+        for argv in (["run", path], ["run", path, "--dry-run"],
+                     ["profile", "run", path, "--out", str(prof)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {info.value}\n"
+            assert captured.out == ""
+        assert not run_dir.exists() and not prof.exists()
 
 
 def test_session_writes_metrics_and_reports_the_slo_verdict(tmp_path):

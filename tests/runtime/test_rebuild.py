@@ -210,9 +210,31 @@ def test_stored_spec_with_an_unread_option_is_refused(tmp_path):
     assert not run_dir.exists()
     config = spec.durable_identity()
     config["engine"]["options"]["max_slots"] = 5
-    store = CheckpointStore.create(
-        run_dir, kind="chaos", seed=spec.market.seed, config=config
+    _assert_resume_refuses(
+        run_dir, "chaos", spec.market.seed, config,
+        "unknown option(s) 'max_slots' for command 'chaos'",
     )
+
+
+def test_stored_spec_with_an_unread_section_is_refused(tmp_path):
+    # A dynamic run reads no fault schedule.  A fresh durable run refuses
+    # one before making its directory; a directory an older build wrote
+    # with one is refused by resume and left as it is.
+    run_dir = tmp_path / "run"
+    spec = _spec("dynamic", run_dir)
+    faults = FaultSpec(loss=0.5, crashes=("buyer:1@2",))
+    expected = "faults: command 'dynamic' does not read this section"
+    with pytest.raises(SpecError, match=re.escape(expected)):
+        run_durable(dataclasses.replace(spec, faults=faults))
+    assert not run_dir.exists()
+    config = spec.durable_identity()
+    config["faults"] = faults.to_dict()
+    _assert_resume_refuses(run_dir, "dynamic", spec.market.seed, config, expected)
+
+
+def _assert_resume_refuses(run_dir, kind, seed, config, expected):
+    """``resume_run`` refuses a directory storing ``config``, untouched."""
+    store = CheckpointStore.create(run_dir, kind=kind, seed=seed, config=config)
 
     def contents():
         return {
@@ -226,6 +248,6 @@ def test_stored_spec_with_an_unread_option_is_refused(tmp_path):
     with pytest.raises(CheckpointError) as info:
         resume_run(run_dir)
     assert str(store.manifest_path) in str(info.value)
-    assert "unknown option(s) 'max_slots' for command 'chaos'" in str(info.value)
+    assert expected in str(info.value)
     assert contents() == before
     assert not store.completed
