@@ -9,6 +9,10 @@ plus the observability layer's own ``stage1.mwis_solve_s`` timer totals):
   (reached by emptying ``repro.core.soa.BATCHED_ALGORITHMS``),
   including a check that both produced the identical matching.
   ``speedup`` is reference-vs-fast (the ratio the perf gate guards).
+  The reference side solves each MWIS with the literal scans of
+  ``repro.interference.mwis.SCAN_SOLVERS``, a fixed yardstick: the
+  baselines' ratios were measured against it, and a speed-up of the
+  set-based loop must not read as a slower batched kernel.
 * ``BENCH_sweep.json`` -- a Fig. 7-style sweep run serially vs through
   the parallel runner, proving the ``--jobs`` path and recording its
   overhead/speedup on this machine.
@@ -47,6 +51,7 @@ from repro.core import soa
 from repro.core.deferred_acceptance import deferred_acceptance
 from repro.core.two_stage import run_two_stage
 from repro.engine import get_solver
+from repro.interference import mwis
 from repro.ioutil import append_jsonl, atomic_write_json
 from repro.obs import MetricsRegistry, Recorder, use_recorder
 from repro.obs.spans import SpanTracer, span_table
@@ -109,7 +114,8 @@ def _stats_block(times: List[float]) -> Dict[str, object]:
 def _stage1_once(
     market, fast: bool
 ) -> Tuple[object, float, List[Dict[str, object]], Dict[str, int]]:
-    """One recorded Stage-I run (``fast=False`` takes the reference loop).
+    """One recorded Stage-I run (``fast=False`` takes the reference loop
+    on the literal MWIS scans).
 
     Returns ``(result, mwis timer total_s, span table, cost counters)``
     -- the span table and the deterministic kernel cost counters are
@@ -117,8 +123,10 @@ def _stage1_once(
     "algorithm changed" apart from "machine was slow".
     """
     batched = soa.BATCHED_ALGORITHMS
+    solvers = dict(mwis._DISPATCH)
     if not fast:
         soa.BATCHED_ALGORITHMS = ()
+        mwis._DISPATCH.update(mwis.SCAN_SOLVERS)
     registry = MetricsRegistry()
     tracer = SpanTracer()
     reset_cost_counters()
@@ -127,6 +135,7 @@ def _stage1_once(
             result = deferred_acceptance(market, record_trace=False)
     finally:
         soa.BATCHED_ALGORITHMS = batched
+        mwis._DISPATCH.update(solvers)
     counters = {
         name: value
         for name, value in snapshot_cost_counters().items()

@@ -96,10 +96,11 @@ def seller_select_coalition(
     incumbent_value = sum(weights[j] for j in incumbent)
     # Try keeping the incumbent waitlist and extending it with compatible
     # newcomers (solved as an MWIS among the compatible newcomers only).
-    newcomers = [j for j in pool if j not in set(incumbent)]
+    incumbent_set = set(incumbent)
+    newcomers = [j for j in pool if j not in incumbent_set]
     compatible = graph.independent_subset_greedily_compatible(incumbent, newcomers)
     extension = mwis_solve(graph, weights, compatible, market.mwis_algorithm)
-    extended = sorted(set(incumbent) | set(extension))
+    extended = sorted(incumbent_set.union(extension))
     extended_value = incumbent_value + sum(weights[j] for j in extension)
     if extended_value > candidate_value:
         return extended

@@ -170,6 +170,8 @@ def _transfer_and_invitation_impl(
     for j in range(market.num_buyers):
         baseline = mu.buyer_utility(j, utilities)
         unapplied.append(preferred_channels_above(market, j, baseline))
+    # Buyers whose unapplied list is non-empty, ascending.
+    applying = [j for j in range(market.num_buyers) if unapplied[j]]
 
     invitation_lists: List[List[int]] = [[] for _ in range(market.num_channels)]
     transfer_rounds: List[TransferRound] = []
@@ -180,16 +182,22 @@ def _transfer_and_invitation_impl(
         while True:
             # Each buyer with a non-empty unapplied list sends one
             # application, skipping channels that are stale (no longer
-            # strictly better than her current match).
+            # strictly better than her current match).  A list is in
+            # descending utility order and a buyer's utility only rises
+            # in this phase, so a stale head means the whole list is
+            # stale: the buyer has nothing left to apply for.
             applications: Dict[int, List[int]] = {}
-            for j in range(market.num_buyers):
+            still_applying: List[int] = []
+            for j in applying:
                 queue = unapplied[j]
-                current_value = mu.buyer_utility(j, utilities)
-                while queue and utilities[j, queue[0]] <= current_value:
-                    queue.pop(0)
+                if utilities[j, queue[0]] <= mu.buyer_utility(j, utilities):
+                    queue.clear()
+                    continue
+                channel = queue.pop(0)
+                applications.setdefault(channel, []).append(j)
                 if queue:
-                    channel = queue.pop(0)
-                    applications.setdefault(channel, []).append(j)
+                    still_applying.append(j)
+            applying = still_applying
             if not applications:
                 break
             num_transfer_rounds += 1

@@ -30,6 +30,7 @@ which the wrapper needs and the models it wraps ignore.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -326,17 +327,13 @@ class FaultSchedule:
                 self._restarts_by_slot.setdefault(
                     crash.restart_slot, []
                 ).append(crash)
+        #: Slots with a crash or restart, ascending.
+        self._node_event_slots: List[int] = sorted(
+            {*self._crashes_by_slot, *self._restarts_by_slot}
+        )
         #: Slot after which no crash/restart event remains.
-        self.last_node_event_slot = max(
-            [
-                *(c.crash_slot for c in self.crashes),
-                *(
-                    c.restart_slot
-                    for c in self.crashes
-                    if c.restart_slot is not None
-                ),
-            ],
-            default=-1,
+        self.last_node_event_slot = (
+            self._node_event_slots[-1] if self._node_event_slots else -1
         )
 
     # ------------------------------------------------------------------
@@ -356,6 +353,12 @@ class FaultSchedule:
 
     def restarts_at(self, slot: int) -> List[CrashFault]:
         return self._restarts_by_slot.get(slot, [])
+
+    def next_node_event_slot(self, slot: int) -> Optional[int]:
+        """The first slot at or after ``slot`` with a crash or restart."""
+        slots = self._node_event_slots
+        i = bisect_left(slots, slot)
+        return slots[i] if i < len(slots) else None
 
     def partitions_starting_at(self, slot: int) -> List[PartitionFault]:
         return [p for p in self.partitions if p.start_slot == slot]

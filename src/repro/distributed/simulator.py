@@ -13,6 +13,13 @@ takes one time slot".  The kernel here makes that executable:
   slot's proposals -- exactly the paper's one-round-per-slot accounting.
   A slot costs O(1) plus its awake agents, so a run costs
   O(slots + executed steps) rather than O(slots x agents).
+* When nothing watches the slots (no live recorder, no ``on_slot``
+  hook), :meth:`TimeSlottedSimulator.run` skips the slots where nothing
+  is due: it moves ``now`` straight to the earliest of the next due
+  message, the next wake timer, the fault schedule's next crash or
+  restart, and ``max_slots``.  Such a slot would step nobody, so results
+  and counters are unchanged, and a deadlocked run reaches its bound at
+  once.  Traced, metered and ``on_slot`` (durable) runs visit every slot.
 * Messages travel through a pluggable :class:`~repro.distributed.network.
   Network` which assigns each message a delivery slot (and may drop it).
   A message delivered "at slot t" is visible to its recipient when the
@@ -40,8 +47,17 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -218,20 +234,20 @@ class SlotContext:
                     tracker.delivered_ids[id(payload)] = carrier_id
 
 
-@dataclass(frozen=True)
-class _QueuedMessage:
+class _QueuedMessage(NamedTuple):
+    """One send in flight.
+
+    The leading ``(delivery_slot, sequence)`` orders the message heap by
+    plain tuple comparison; sequences are unique, so the later fields are
+    never compared.
+    """
+
     delivery_slot: int
     sequence: int
     destination: str
     message: Message
     #: Causal msg id of this send occurrence (-1 when not tracing).
     msg_id: int = -1
-
-    def __lt__(self, other: "_QueuedMessage") -> bool:
-        return (self.delivery_slot, self.sequence) < (
-            other.delivery_slot,
-            other.sequence,
-        )
 
 
 class TimeSlottedSimulator:
@@ -741,6 +757,33 @@ class TimeSlottedSimulator:
                 )
         self._now += 1
 
+    def _skip_idle_slots(self, max_slots: int) -> None:
+        """Move ``now`` to the next slot at which anything is due.
+
+        That is the earliest of the next due message, the next live wake
+        timer, the schedule's next crash or restart, and ``max_slots``.
+        A slot before it steps nobody and changes nothing but ``now``,
+        and it cannot end the run: quiescence depends on in-flight
+        messages, agent states and pending node events, none of which
+        moves in such a slot.
+        """
+        now = self._now
+        target = max_slots
+        if self._queue:
+            target = min(target, self._queue[0].delivery_slot)
+        timers = self._timers
+        wake_at = self._wake_at
+        while timers and wake_at[timers[0][1]] != timers[0][0]:
+            heapq.heappop(timers)  # superseded: it would never fire
+        if timers:
+            target = min(target, timers[0][0])
+        if self._schedule is not None:
+            event = self._schedule.next_node_event_slot(now)
+            if event is not None:
+                target = min(target, event)
+        if target > now:
+            self._now = target
+
     def is_quiescent(self) -> bool:
         """All agents done and no messages in flight.
 
@@ -900,7 +943,7 @@ class TimeSlottedSimulator:
         on_timeout: str = "raise",
         on_slot: Optional[Callable[["TimeSlottedSimulator"], None]] = None,
     ) -> int:
-        """Run until quiescence; returns the number of slots executed.
+        """Run until quiescence; returns the slot count (``now``).
 
         Parameters
         ----------
@@ -917,7 +960,10 @@ class TimeSlottedSimulator:
             Optional callback invoked with the simulator after every
             completed slot (a safe boundary for
             :meth:`snapshot_state`).  The durable runtime hooks its WAL
-            append and periodic checkpointing here.
+            append and periodic checkpointing here.  Without it, and
+            without a live recorder, slots where nothing is due are
+            skipped rather than stepped; the return value counts them
+            all the same.
 
         Raises
         ------
@@ -929,8 +975,14 @@ class TimeSlottedSimulator:
             raise SimulationError(
                 f"on_timeout must be 'raise' or 'stop', got {on_timeout!r}"
             )
+        # Nothing reads a slot's events, metrics or WAL record without a
+        # live recorder or an ``on_slot`` hook, so such a run jumps over
+        # the slots where nothing is due.
+        skip_idle = on_slot is None and not self._observing
         with self._obs.span("simulator.run"):
             while not self.is_quiescent():
+                if skip_idle:
+                    self._skip_idle_slots(max_slots)
                 if self._now >= max_slots:
                     if on_timeout == "stop":
                         self._timed_out = True

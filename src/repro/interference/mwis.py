@@ -34,13 +34,26 @@ These set-based loops are the reference implementations.  Stage I's
 batched kernel (:mod:`repro.core.soa`) reproduces GWMIN and GWMIN2
 selection for selection -- the differential suite asserts
 element-for-element equality on random graphs -- and every other caller
-(Stage II, the distributed sellers, :func:`mwis_solve`) runs the loops
-here directly.
+(Stage II, the distributed sellers, :func:`mwis_solve`, Stage I's
+per-seller reference loop) runs the loops here directly.
+
+GWMIN and GWMIN2 share one lazy-heap select loop, which scores a buyer
+by her weight over the summed cost of her closed neighbourhood: GWMIN2
+costs each buyer her weight, GWMIN costs each buyer 1.0, so GWMIN's sum
+is ``deg(v) + 1``.  A buyer's score only changes when a neighbour is
+removed, so each removal pushes fresh heap entries for the buyers it
+rescored, and entries that no longer hold their buyer's score are
+skipped as they surface.  A solve costs O((V + E) log V).
+:data:`SCAN_SOLVERS` keeps the literal loops that rescore every
+remaining buyer for each pick (O(V^2) score evaluations); they select
+the same buyers and serve as the tests' oracle and the kernels
+benchmark's fixed yardstick.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from typing import Callable, Dict, Iterable, List, Mapping, Set
 
 from repro.errors import MarketConfigurationError, SolverError, SolverLimitExceeded
@@ -141,13 +154,87 @@ def _argmax_remaining(
     return best
 
 
+def _closed_weights(
+    adjacency: Dict[int, Set[int]], weights: Mapping[int, float]
+) -> Dict[int, float]:
+    """GWMIN2's closed-neighbourhood weights, each an ascending-index sum."""
+    closed: Dict[int, float] = {}
+    for j in sorted(adjacency):
+        acc = 0.0
+        for k in sorted(adjacency[j]):
+            acc += weights[k]
+        closed[j] = weights[j] + acc
+    return closed
+
+
+def _closed_score(weight: float, closed: float) -> float:
+    """``weight / closed``, with the literal GWMIN2 scan's zero guard."""
+    if closed <= 0.0:
+        return 0.0
+    return weight / closed
+
+
 def _greedy_select(
+    adjacency: Dict[int, Set[int]],
+    weights: Mapping[int, float],
+    cost: Mapping[int, float],
+    closed: Dict[int, float],
+) -> List[int]:
+    """Lazy-heap select-and-remove loop shared by GWMIN and GWMIN2.
+
+    A buyer's score is its weight over ``closed``, the summed ``cost`` of
+    its closed neighbourhood.  GWMIN2 costs each buyer its weight, so it
+    scores ``w(v) / W(N+(v))``; GWMIN costs each buyer 1.0 and starts
+    from ``deg(v) + 1``, so its sums stay exact integers in float64 and
+    its score is ``w(v) / (deg(v) + 1)`` bit for bit.  Each removal
+    decrements every survivor's sum by the removed neighbour's cost, in
+    ascending order of the removed buyer -- the floating-point sequence
+    Stage I's batched kernel replays.
+
+    Heap entries are ``(-score, buyer)``, so the smallest entry is the
+    highest score and, among equal scores, the smallest buyer -- the
+    reference tie-break.  A buyer's score only changes when a neighbour
+    is removed; the loop then pushes a fresh entry, and an entry whose
+    score is no longer its buyer's current score (or whose buyer is gone)
+    is stale and skipped when it surfaces.  A solve costs
+    O((V + E) log V) instead of the literal scan's O(V^2) score calls.
+    ``adjacency`` and ``closed`` are consumed.
+    """
+    score = {j: _closed_score(weights[j], closed[j]) for j in adjacency}
+    heap = [(-s, j) for j, s in score.items()]
+    heapq.heapify(heap)
+    chosen: List[int] = []
+    while heap:
+        negated, best = heapq.heappop(heap)
+        if score.get(best) != -negated:
+            continue  # stale entry, or its buyer is already removed
+        chosen.append(best)
+        removed = adjacency[best] | {best}
+        touched: Set[int] = set()
+        for r in sorted(removed):
+            del score[r]
+            for k in adjacency.pop(r):
+                if k not in removed:
+                    adjacency[k].discard(r)
+                    closed[k] -= cost[r]
+                    touched.add(k)
+        for k in touched:
+            s = _closed_score(weights[k], closed[k])
+            if s != score[k]:
+                score[k] = s
+                heapq.heappush(heap, (-s, k))
+    chosen.sort()
+    return chosen
+
+
+def _scan_select(
     graph: InterferenceGraph,
     weights: Mapping[int, float],
     nodes: Iterable[int],
     score: Callable[[int, Dict[int, Set[int]]], float],
 ) -> List[int]:
-    """Shared set-based select-and-remove loop (GWMIN reference path)."""
+    """The literal select-and-remove loop (see :data:`SCAN_SOLVERS`):
+    rescore every remaining buyer for each pick."""
     adjacency = _induced_adjacency(graph, nodes)
     _validate_weights(weights, adjacency)
     chosen: List[int] = []
@@ -165,43 +252,25 @@ def _greedy_select(
     return chosen
 
 
-def mwis_greedy_gwmin(
+def _scan_gwmin(
     graph: InterferenceGraph,
     weights: Mapping[int, float],
     nodes: Iterable[int],
 ) -> List[int]:
-    """GWMIN greedy MWIS on the subgraph induced by ``nodes``.
-
-    Returns the selected buyers in ascending index order.
-    """
-
     def score(j: int, adjacency: Dict[int, Set[int]]) -> float:
         return weights[j] / (len(adjacency[j]) + 1.0)
 
-    return _greedy_select(graph, weights, nodes, score)
+    return _scan_select(graph, weights, nodes, score)
 
 
-def mwis_greedy_gwmin2(
+def _scan_gwmin2(
     graph: InterferenceGraph,
     weights: Mapping[int, float],
     nodes: Iterable[int],
 ) -> List[int]:
-    """GWMIN2 greedy MWIS (closed-neighbourhood weight ratio scoring).
-
-    Each node's closed-neighbourhood weight is initialised by an
-    ascending-index sum and decremented once per removed neighbour in
-    ascending order; Stage I's batched kernel replays this exact
-    floating-point operation sequence, so both return identical
-    coalitions.
-    """
     adjacency = _induced_adjacency(graph, nodes)
     _validate_weights(weights, adjacency)
-    closed: Dict[int, float] = {}
-    for j in sorted(adjacency):
-        acc = 0.0
-        for k in sorted(adjacency[j]):
-            acc += weights[k]
-        closed[j] = weights[j] + acc
+    closed = _closed_weights(adjacency, weights)
 
     def score_of(j: int) -> float:
         if closed[j] <= 0.0:
@@ -227,6 +296,41 @@ def mwis_greedy_gwmin2(
             del adjacency[j]
     chosen.sort()
     return chosen
+
+
+def mwis_greedy_gwmin(
+    graph: InterferenceGraph,
+    weights: Mapping[int, float],
+    nodes: Iterable[int],
+) -> List[int]:
+    """GWMIN greedy MWIS on the subgraph induced by ``nodes``.
+
+    Returns the selected buyers in ascending index order.
+    """
+    adjacency = _induced_adjacency(graph, nodes)
+    _validate_weights(weights, adjacency)
+    unit = dict.fromkeys(adjacency, 1.0)
+    degree = {j: len(adjacency[j]) + 1.0 for j in adjacency}
+    return _greedy_select(adjacency, weights, unit, degree)
+
+
+def mwis_greedy_gwmin2(
+    graph: InterferenceGraph,
+    weights: Mapping[int, float],
+    nodes: Iterable[int],
+) -> List[int]:
+    """GWMIN2 greedy MWIS (closed-neighbourhood weight ratio scoring).
+
+    Each node's closed-neighbourhood weight is initialised by an
+    ascending-index sum and decremented once per removed neighbour in
+    ascending order; Stage I's batched kernel replays this exact
+    floating-point operation sequence, so both return identical
+    coalitions.
+    """
+    adjacency = _induced_adjacency(graph, nodes)
+    _validate_weights(weights, adjacency)
+    closed = _closed_weights(adjacency, weights)
+    return _greedy_select(adjacency, weights, weights, closed)
 
 
 def mwis_greedy_gwmax(
@@ -317,6 +421,18 @@ def mwis_exact(
     branch(0, [], set(), 0.0)
     return best_set
 
+
+#: The literal scans the lazy-heap loop replaced, kept as they were and
+#: selection for selection equal to :func:`mwis_greedy_gwmin` /
+#: :func:`mwis_greedy_gwmin2`: the oracle of the differential tests, and
+#: the fixed yardstick of the kernels benchmark's Stage I reference side
+#: (``benchmarks/perf_harness.py``), whose ``speedup`` -- reference time
+#: over batched time -- would otherwise fall with every speed-up of the
+#: set-based loop.
+SCAN_SOLVERS: Dict[MwisAlgorithm, Callable[..., List[int]]] = {
+    MwisAlgorithm.GWMIN: _scan_gwmin,
+    MwisAlgorithm.GWMIN2: _scan_gwmin2,
+}
 
 _DISPATCH: Dict[MwisAlgorithm, Callable[..., List[int]]] = {
     MwisAlgorithm.GWMIN: mwis_greedy_gwmin,

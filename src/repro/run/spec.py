@@ -586,6 +586,12 @@ class RunSpec(_Section, section="spec"):
                 self.engine.options.get("policy", "default"),
                 policies,
             )
+        if "repetitions" in COMMAND_OPTIONS.get(self.command, ()):
+            repetitions = self.engine.options.get("repetitions")
+            if repetitions is not None:  # None: the panel's default
+                _check_int(
+                    "engine.options", "repetitions", repetitions, minimum=1
+                )
         if self.command == "solve":
             self._validate_solver()
         else:

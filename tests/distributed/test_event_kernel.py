@@ -5,7 +5,9 @@ slot it declared through ``next_wake`` has come.  The reference is the
 same kernel with every protocol agent's ``next_wake`` patched back to the
 base ``Agent.next_wake`` (``now + 1``), which steps every agent in every
 slot.  Skipped steps must be no-ops, so both kernels must produce the
-same result, message trace, live event stream and counters.
+same result, message trace, live event stream and counters.  Unobserved
+(no live recorder, no ``on_slot`` hook) the kernel also jumps over the
+slots where nothing is due; such a run must return the same result.
 
 The ``SPECTRUM_CHAOS_SEED`` environment variable offsets every seed used
 here, as in ``test_chaos.py``; CI runs this file under the same seed
@@ -29,7 +31,10 @@ from repro.distributed.faults import (
     RestartMode,
 )
 from repro.distributed.network import DelayedNetwork, LossyNetwork
-from repro.distributed.protocol import run_distributed_matching
+from repro.distributed.protocol import (
+    build_distributed_simulation,
+    run_distributed_matching,
+)
 from repro.distributed.seller_agent import SellerAgent
 from repro.distributed.simulator import Agent, SlotContext
 from repro.distributed.transition import (
@@ -38,7 +43,7 @@ from repro.distributed.transition import (
     neighbor_rule_policy,
 )
 from repro.distributed.transport import ReliableAgent
-from repro.obs import ListEventSink, MetricsRegistry, Recorder
+from repro.obs import NULL_RECORDER, ListEventSink, MetricsRegistry, Recorder
 from repro.workloads.scenarios import paper_simulation_market
 
 #: CI offsets this to run the whole file under several seed families.
@@ -100,6 +105,15 @@ def observed_run(market, **kwargs):
     return outcome, stream, recorder.metrics.snapshot()["counters"]
 
 
+def unobserved_run(market, **kwargs):
+    """The same run on the null recorder, where idle slots are skipped."""
+    return run_distributed_matching(
+        market,
+        recorder=NULL_RECORDER,
+        **{"max_slots": MAX_SLOTS, **kwargs},
+    )
+
+
 def assert_matches_polling(market, **kwargs):
     outcome, stream, counters = observed_run(market, **kwargs)
     with polling():
@@ -107,7 +121,25 @@ def assert_matches_polling(market, **kwargs):
     assert outcome == ref_outcome
     assert stream == ref_stream
     assert counters == ref_counters
+    assert unobserved_run(market, **kwargs) == ref_outcome
     return outcome
+
+
+@contextmanager
+def counting_slots(simulator):
+    """Count the slots ``simulator`` executes (``run_slot`` calls)."""
+    executed = []
+    run_slot = simulator.run_slot
+
+    def counted():
+        executed.append(simulator.now)
+        run_slot()
+
+    simulator.run_slot = counted
+    try:
+        yield executed
+    finally:
+        del simulator.run_slot
 
 
 class TestMatchesPollingKernel:
@@ -321,3 +353,83 @@ class TestStepCount:
         agent_slots = result.slots * (market.num_buyers + market.num_channels)
         assert result.slots >= market.num_buyers * market.num_channels
         assert 0 < steps < 0.01 * agent_slots
+
+
+class TestIdleSlotSkip:
+    def test_default_rule_executes_few_slots_unobserved(self):
+        """At N=400, M=8 a run lasts thousands of slots, but nothing is
+        due in almost all of them."""
+        market = market_for(400, 8, seed=9)
+        observed = run_distributed_matching(
+            market,
+            policy=default_policy(),
+            recorder=Recorder(metrics=MetricsRegistry()),
+            max_slots=MAX_SLOTS,
+        )
+        sim = build_distributed_simulation(
+            market, policy=default_policy(), max_slots=MAX_SLOTS
+        )
+        with counting_slots(sim.simulator) as executed:
+            result = sim.finalize(sim.run())
+        assert result == observed
+        assert result.slots >= market.num_buyers * market.num_channels
+        assert 0 < len(executed) <= 30
+
+    def test_deadlocked_partition_reaches_its_bound_at_once(self):
+        """Every buyer is cut off from every seller from slot 4 on:
+        nothing is in flight or armed after the partition bites, so the
+        run jumps to its bound instead of stepping 10**6 empty slots."""
+        market = market_for(10, 3, seed=10)
+        buyers = frozenset(f"buyer:{j}" for j in range(10))
+        schedule = FaultSchedule(
+            partitions=[PartitionFault(groups=(buyers,), start_slot=4)]
+        )
+        sim = build_distributed_simulation(
+            market,
+            seed=BASE_SEED,
+            fault_schedule=schedule,
+            max_slots=10**6,
+            on_timeout="degrade",
+        )
+        with counting_slots(sim.simulator) as executed:
+            slots = sim.run()
+        assert slots == 10**6
+        assert sim.simulator.timed_out
+        assert len(executed) < 100
+        assert sim.finalize(slots).status == "degraded"
+
+    @pytest.mark.parametrize("watcher", ["recorder", "on_slot"])
+    def test_watched_runs_visit_every_slot(self, watcher):
+        """A live recorder records every slot and the durable runtime's
+        ``on_slot`` hook writes a WAL record per slot."""
+        market = market_for(12, 3, seed=11)
+        hooked = []
+
+        def on_slot(simulator):
+            hooked.append(simulator.now)
+
+        if watcher == "recorder":
+            recorder, on_slot = Recorder(metrics=MetricsRegistry()), None
+        else:
+            recorder = None
+        sim = build_distributed_simulation(market, recorder=recorder)
+        with counting_slots(sim.simulator) as executed:
+            slots = sim.run(on_slot=on_slot)
+        assert executed == list(range(slots))
+        if watcher == "on_slot":
+            assert hooked == list(range(1, slots + 1))
+
+    def test_next_node_event_slot(self):
+        """The skip's bound from the fault schedule: the first crash or
+        restart slot at or after the asked slot."""
+        schedule = FaultSchedule(
+            crashes=[
+                CrashFault("buyer:1", crash_slot=12),
+                CrashFault("seller:0", crash_slot=5, restart_slot=9),
+            ]
+        )
+        assert [
+            schedule.next_node_event_slot(slot)
+            for slot in (0, 5, 6, 9, 10, 12, 13)
+        ] == [5, 5, 9, 9, 12, 12, None]
+        assert FaultSchedule().next_node_event_slot(0) is None

@@ -28,9 +28,13 @@ def test_toy_profile_lists_market_build(tmp_path):
         profile=ProfileSpec(profile_out=out, memory=False),
     )
     Session(spec).run()
-    names = [row["name"] for row in load_profile(out)["spans"]]
-    assert "market.build" in names
-    assert names[0] == "stage1.mwis"
+    rows = load_profile(out)["spans"]
+    by_name = {row["name"]: row for row in rows}
+    assert "market.build" in by_name
+    # One seller-side solve per Stage-I round of the toy market.
+    assert by_name["stage1.mwis"]["count"] == 4
+    # The rows are span_table's: descending self time, ties by name.
+    assert rows == sorted(rows, key=lambda r: (-r["self_s"], r["name"]))
 
 
 def test_span_is_a_root_on_the_ambient_recorder():

@@ -251,6 +251,49 @@ def test_misspelt_policy_fails_the_same_everywhere(tmp_path, capsys):
     assert not run_dir.exists()
 
 
+def test_figure_repetitions_below_one_fail_the_same_everywhere(
+    tmp_path, capsys
+):
+    # Zero repetitions used to pass the dry run and end the run in a
+    # traceback from the sweep's empty sample.
+    for flags in (["fig6", "--repetitions", "0"],
+                  ["fig8", "--panel", "c", "--repetitions", "-2"]):
+        for dry_run in ([], ["--dry-run"]):
+            assert main(flags + dry_run) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: engine.options.repetitions: must be >= 1, "
+                f"got {flags[-1]}\n"
+            )
+    for index, (value, expected) in enumerate((
+        (0, "engine.options.repetitions: must be >= 1, got 0"),
+        (True, "engine.options.repetitions: expected an integer, got True"),
+        (1.5, "engine.options.repetitions: expected an integer, got 1.5"),
+        ("3", "engine.options.repetitions: expected an integer, got '3'"),
+    )):
+        spec = RunSpec(
+            command="fig7",
+            engine=EngineSpec(name="figure", options={"repetitions": value}),
+        )
+        with pytest.raises(SpecError) as info:
+            Session(spec)
+        assert str(info.value) == expected
+        path = _write(tmp_path, spec, f"fig7-{index}.json")
+        for argv in (["run", path], ["run", path, "--dry-run"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {expected}\n"
+    for repetitions in (None, 1):
+        RunSpec(
+            command="fig6",
+            engine=EngineSpec(
+                name="figure", options={"repetitions": repetitions}
+            ),
+        ).validate()
+
+
 def test_unread_section_fails_the_same_everywhere(tmp_path, capsys):
     # A section only some commands read keeps its default elsewhere:
     # faults (distributed, chaos), durability (distributed, chaos,
